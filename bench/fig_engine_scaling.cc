@@ -8,7 +8,9 @@
 //   * EngineScaling/submit_batch/threads/N — SubmitBatch of 256-query
 //     batches, the production serving shape;
 //   * EngineScaling/submit/threads/N — per-query Submit, the worst case
-//     for lock overhead (one shard acquisition per query).
+//     for lock overhead (one shard acquisition per query);
+//   * EngineReclaim/ebr/threads/N — per-query Submit served from the
+//     dynamic overlay instead of the frozen tier (overlay-warm throughput).
 // bench/run_benchmarks.sh folds these into BENCH_hotpath.json and computes
 // engine_scaling_efficiency = rate(N) / (N × rate(1)) per series. Note the
 // efficiency ceiling is min(cores, N) / N — on a single-core container the
@@ -19,7 +21,6 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/epoch.h"
 #include "engine/disclosure_engine.h"
 #include "workload/policy_generator.h"
 
@@ -117,42 +118,27 @@ BENCHMARK(BM_EngineSubmit)
     ->UseRealTime()
     ->Name("EngineScaling/submit/threads");
 
-// Reclaim ablation (PR 10): the EBR wait-free read path vs the locked
-// oracle on the identical per-query Submit shape. Unlike the scaling
-// series above, these engines take NO frozen warmup — every label goes
-// through the dynamic overlay, so the measured tier is exactly the one the
-// refactor rewrote (epoch-pinned snapshot load + lock-free overlay chunk
-// vs shared_ptr-under-rwlock + reader-locked overlay). A manual Explain
-// warm pass (overlay_min_publish=1 publishes per novel label) makes the
-// steady state all warm hits. run_benchmarks.sh computes
-// engine_ebr_vs_locked ratios with a 0.95x single-thread floor and lifts
-// the overlay_reader_locks / epoch_retires counters into
-// BENCH_hotpath.json — EBR must report zero reader locks.
-engine::DisclosureEngine* MakeReclaimEngine(epoch::ReclaimChoice choice) {
-  const auto& pool = Pool();
-  engine::EngineOptions options;
-  options.reclaim = choice;
-  options.labeler.overlay_min_publish = 1;
-  auto* e = new engine::DisclosureEngine(
-      /*db=*/nullptr, FacebookEnv::Get().catalog.get(), Policy(), options);
-  for (const auto& query : pool) (void)e->Explain(query);
-  return e;
-}
-
-engine::DisclosureEngine& EbrEngine() {
-  static engine::DisclosureEngine* e =
-      MakeReclaimEngine(epoch::ReclaimChoice::kEbr);
+// Overlay-warm throughput on the per-query Submit shape. Unlike the
+// scaling series above, this engine takes NO frozen warmup — every label
+// goes through the dynamic overlay, so the measured tier is the
+// epoch-pinned snapshot load plus the lock-free overlay chunk probe. A
+// manual Explain warm pass (overlay_min_publish=1 publishes per novel
+// label) makes the steady state all warm hits. The epoch_retires counter
+// is lifted into BENCH_hotpath.json by run_benchmarks.sh.
+engine::DisclosureEngine& OverlayWarmEngine() {
+  static engine::DisclosureEngine* e = [] {
+    engine::EngineOptions options;
+    options.labeler.overlay_min_publish = 1;
+    auto* engine = new engine::DisclosureEngine(
+        /*db=*/nullptr, FacebookEnv::Get().catalog.get(), Policy(), options);
+    for (const auto& query : Pool()) (void)engine->Explain(query);
+    return engine;
+  }();
   return *e;
 }
 
-engine::DisclosureEngine& LockedEngine() {
-  static engine::DisclosureEngine* e =
-      MakeReclaimEngine(epoch::ReclaimChoice::kLocked);
-  return *e;
-}
-
-void RunReclaimSeries(benchmark::State& state,
-                      engine::DisclosureEngine& engine) {
+void BM_EngineOverlayWarm(benchmark::State& state) {
+  engine::DisclosureEngine& engine = OverlayWarmEngine();
   const auto& pool = Pool();
   const int thread = state.thread_index();
   size_t i = static_cast<size_t>(thread) * 37 % kPoolSize;
@@ -169,29 +155,15 @@ void RunReclaimSeries(benchmark::State& state,
   }
   ReportRate(state, kBatchSize);
   if (thread == 0) {
-    const auto stats = engine.Stats();
-    state.counters["overlay_reader_locks"] =
-        static_cast<double>(stats.labeler.overlay_reader_locks);
-    state.counters["epoch_retires"] = static_cast<double>(stats.ebr.retired);
+    state.counters["epoch_retires"] =
+        static_cast<double>(engine.Stats().ebr.retired);
   }
 }
 
-void BM_EngineReclaimEbr(benchmark::State& state) {
-  RunReclaimSeries(state, EbrEngine());
-}
-
-void BM_EngineReclaimLocked(benchmark::State& state) {
-  RunReclaimSeries(state, LockedEngine());
-}
-
-BENCHMARK(BM_EngineReclaimEbr)
+BENCHMARK(BM_EngineOverlayWarm)
     ->ThreadRange(1, 8)
     ->UseRealTime()
     ->Name("EngineReclaim/ebr/threads");
-BENCHMARK(BM_EngineReclaimLocked)
-    ->ThreadRange(1, 8)
-    ->UseRealTime()
-    ->Name("EngineReclaim/locked/threads");
 
 }  // namespace
 }  // namespace fdc::bench

@@ -2,25 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace fdc::epoch {
-namespace {
-
-ReclaimMode ParseEnv() {
-  const char* env = std::getenv("FDC_EPOCH");
-  if (env == nullptr) return ReclaimMode::kEbr;
-  if (std::strcmp(env, "locked") == 0) return ReclaimMode::kLocked;
-  // "ebr", "auto", and anything unrecognized all resolve to the default.
-  return ReclaimMode::kEbr;
-}
-
-}  // namespace
-
-ReclaimMode DefaultReclaimMode() {
-  static const ReclaimMode mode = ParseEnv();
-  return mode;
-}
 
 Domain::Domain() = default;
 
@@ -97,13 +80,15 @@ void Domain::Retire(void* ptr, void (*deleter)(void*)) {
   node->ptr = ptr;
   node->deleter = deleter;
   node->epoch = global_epoch_.load(std::memory_order_seq_cst);
+  // Counted before the push: once the node is on the list another thread's
+  // Collect() may free (and count) it.
+  retired_count_.fetch_add(1, std::memory_order_relaxed);
   Retired* head = retired_head_.load(std::memory_order_relaxed);
   do {
     node->next = head;
   } while (!retired_head_.compare_exchange_weak(head, node,
                                                 std::memory_order_release,
                                                 std::memory_order_relaxed));
-  retired_count_.fetch_add(1, std::memory_order_relaxed);
   Collect();
 }
 
@@ -181,9 +166,13 @@ void Domain::DrainForTesting() {
 DomainStats Domain::Stats() const {
   DomainStats s;
   s.epoch = global_epoch_.load(std::memory_order_relaxed);
-  s.retired = retired_count_.load(std::memory_order_relaxed);
+  // Freed first: both counters only grow, so frees landing between the two
+  // loads cannot push freed past retired. The loads are still unordered
+  // relaxed reads of two counters, so pending saturates instead of
+  // wrapping when a snapshot catches them out of step.
   s.freed = freed_count_.load(std::memory_order_relaxed);
-  s.pending = s.retired - s.freed;
+  s.retired = retired_count_.load(std::memory_order_relaxed);
+  s.pending = s.retired > s.freed ? s.retired - s.freed : 0;
   s.advances = advance_count_.load(std::memory_order_relaxed);
   return s;
 }

@@ -22,10 +22,8 @@
 // Guards nest: only the outermost Guard per thread pays the fence; inner
 // guards just bump a thread-local depth counter.
 //
-// Mode selection: the FDC_EPOCH env var ("locked" | "ebr" | "auto") picks the
-// process-wide default; options structs carry a ReclaimChoice so tests can
-// force either path explicitly. The locked paths are kept as the
-// property-test oracle for the EBR paths.
+// The engine's snapshot publish and the labeler's overlay chunk both retire
+// through the one process-wide Domain.
 
 #ifndef FDC_COMMON_EPOCH_H_
 #define FDC_COMMON_EPOCH_H_
@@ -36,33 +34,13 @@
 
 namespace fdc::epoch {
 
-// Resolved reclamation mode used by a component instance.
-enum class ReclaimMode : uint8_t { kLocked, kEbr };
-
-// Option-level choice: kAuto defers to FDC_EPOCH (default: ebr).
-enum class ReclaimChoice : uint8_t { kAuto, kLocked, kEbr };
-
-// Process-wide default parsed once from FDC_EPOCH. Unset/"auto"/"ebr" -> kEbr,
-// "locked" -> kLocked; unrecognized values fall back to kEbr.
-ReclaimMode DefaultReclaimMode();
-
-inline ReclaimMode Resolve(ReclaimChoice choice) {
-  switch (choice) {
-    case ReclaimChoice::kLocked:
-      return ReclaimMode::kLocked;
-    case ReclaimChoice::kEbr:
-      return ReclaimMode::kEbr;
-    case ReclaimChoice::kAuto:
-    default:
-      return DefaultReclaimMode();
-  }
-}
-
 struct DomainStats {
   uint64_t epoch = 0;    // current global epoch
   uint64_t retired = 0;  // objects ever passed to Retire()
   uint64_t freed = 0;    // objects whose deleter has run
-  uint64_t pending = 0;  // retired - freed
+  // retired - freed, saturated at 0: the counters are read one after the
+  // other, so a snapshot is approximate, but pending <= retired holds.
+  uint64_t pending = 0;
   uint64_t advances = 0; // successful epoch advancements
 };
 

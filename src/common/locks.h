@@ -1,17 +1,17 @@
 // Reader-side lock instrumentation for the wait-free read path proof.
 //
-// The ISSUE-10 acceptance criterion is hardware-independent: warm-path
-// Submit/SubmitBatch/SubmitCoalesced must perform ZERO reader-side mutex or
-// shared_mutex acquisitions under FDC_EPOCH=ebr. We prove it by counting:
-// every shared (reader) acquisition on a read-path lock bumps a thread-local
-// counter, and the concurrency tests assert the delta across a warm submit
-// is exactly zero in EBR mode (and nonzero in locked mode, as a sanity check
-// that the counter itself works).
+// The property is hardware-independent: warm-path Submit / SubmitBatch /
+// SubmitCoalesced perform ZERO reader-side mutex or shared_mutex
+// acquisitions. We prove it by counting: every shared (reader) acquisition
+// on a read-path lock bumps a thread-local counter, and the concurrency
+// tests assert the delta across a warm submit is exactly zero — and that a
+// control-plane DisclosureEngine::Snapshot() call, which does take the
+// snapshot lock's shared side, moves it (so the zero is not vacuous).
 //
 // Exclusive (writer) acquisitions are deliberately NOT counted: writers may
-// lock freely in either mode. Principal-map shard locks are also uncounted —
-// they are writer-side by role (per-principal state mutation), not part of
-// the shared read path this PR removes.
+// lock freely. Principal-map shard locks are also uncounted — they are
+// writer-side by role (per-principal state mutation), not part of the
+// shared read path.
 
 #ifndef FDC_COMMON_LOCKS_H_
 #define FDC_COMMON_LOCKS_H_
@@ -26,8 +26,8 @@ namespace fdc::locks {
 uint64_t ReaderLockAcquisitions();
 
 // Bumps the calling thread's reader-lock counter. Used by call sites that
-// take a plain std::mutex in a reader role (e.g. the locked-mode containment
-// cache probe) where a wrapper type would be overkill.
+// take a plain std::mutex in a reader role (e.g. the containment cache
+// probe) where a wrapper type would be overkill.
 void CountReaderLockAcquisition();
 
 // Drop-in replacement for std::shared_mutex that counts shared acquisitions.

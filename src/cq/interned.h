@@ -26,9 +26,9 @@
 //   * frozen — build the interner single-threaded, then treat it as
 //     immutable; any number of threads may call the const surface without
 //     locks (engine::FrozenCatalog does exactly this);
-//   * guarded — wrap it in a reader/writer lock with Find under the shared
-//     side and TryIntern under the exclusive side (engine::ConcurrentLabeler
-//     does this for the dynamic overlay).
+//   * guarded — serialize the mutating calls on a lock and read it only
+//     under that lock (engine::ConcurrentLabeler does this for the dynamic
+//     overlay, and serves warm hits from an immutable copy instead).
 // Use one interner per pipeline family (catalog/universe) either way.
 #pragma once
 

@@ -1,5 +1,6 @@
 #include "engine/disclosure_engine.h"
 
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -11,20 +12,6 @@
 
 namespace fdc::engine {
 namespace {
-
-// Propagate the engine's resolved reclaim mode into the labeler unless the
-// caller pinned the labeler's mode explicitly — one FDC_EPOCH leg configures
-// one consistent read-path design across all three layers.
-ConcurrentLabeler::Options ResolvedLabelerOptions(const EngineOptions& options,
-                                                  epoch::ReclaimMode mode) {
-  ConcurrentLabeler::Options labeler = options.labeler;
-  if (labeler.reclaim == epoch::ReclaimChoice::kAuto) {
-    labeler.reclaim = mode == epoch::ReclaimMode::kEbr
-                          ? epoch::ReclaimChoice::kEbr
-                          : epoch::ReclaimChoice::kLocked;
-  }
-  return labeler;
-}
 
 // Parks a displaced snapshot's ownership in the epoch domain: the refcount
 // held by the heap holder drops only after every reader pinned at retire
@@ -45,8 +32,7 @@ DisclosureEngine::DisclosureEngine(const storage::Database* db,
                                    std::span<const cq::ConjunctiveQuery> warmup)
     : db_(db),
       frozen_(FrozenCatalog::Build(catalog, warmup, options.dissect)),
-      mode_(epoch::Resolve(options.reclaim)),
-      labeler_(frozen_, ResolvedLabelerOptions(options, mode_)),
+      labeler_(frozen_, options.labeler),
       principals_(options.principals),
       snapshot_(std::make_shared<const EngineSnapshot>(
           frozen_, std::move(policy), /*epoch=*/1)),
@@ -69,14 +55,10 @@ uint64_t DisclosureEngine::UpdatePolicy(policy::SecurityPolicy policy) {
     snapshot_ptr_.store(next.get(), std::memory_order_release);
     retired = std::exchange(snapshot_, std::move(next));
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    // EBR readers hold raw pointers, not refcounts — the retired snapshot
-    // must outlive every reader pinned before the publish above.
-    RetireSnapshot(std::move(retired));
-  }
-  // Otherwise the retired snapshot releases here; in-flight requests
-  // holding their own shared_ptr copies keep it alive until they finish.
-  //
+  // Readers hold raw pointers, not refcounts — the retired snapshot must
+  // outlive every reader pinned before the publish above.
+  RetireSnapshot(std::move(retired));
+
   // Residuals narrowed under retired epochs can never be resumed
   // (consistency bits do not transfer across policies) — drop them all and
   // raise the floor, so a straggler still holding a retired snapshot is
@@ -108,7 +90,7 @@ uint64_t DisclosureEngine::SetShadowPolicy(policy::SecurityPolicy policy,
     retired = std::exchange(shadow_snapshot_, std::move(next));
     shadow_name_ = std::move(policy_name);
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) RetireSnapshot(std::move(retired));
+  RetireSnapshot(std::move(retired));
   // A replaced shadow policy invalidates shadow consistency state exactly
   // like a live swap invalidates live state.
   shadow_principals_.DropResidualsBefore(epoch);
@@ -137,7 +119,7 @@ void DisclosureEngine::ClearShadowPolicy() {
     retired = std::exchange(shadow_snapshot_, nullptr);
     shadow_name_.clear();
   }
-  if (mode_ == epoch::ReclaimMode::kEbr) RetireSnapshot(std::move(retired));
+  RetireSnapshot(std::move(retired));
 }
 
 void DisclosureEngine::ShadowEvaluate(
@@ -274,8 +256,8 @@ void DisclosureEngine::SubmitCoalesced(
   }
   if (requests.empty()) return;
 
-  // One batched labeling pass over the whole wake: the batch/SIMD kernel
-  // and the batch's distinct-structure dedup see the full coalesced size,
+  // One batched labeling pass over the whole wake: the batch kernel and
+  // the batch's distinct-structure dedup see the full coalesced size,
   // not per-connection fragments.
   scratch.queries.clear();
   scratch.queries.reserve(requests.size());
@@ -409,7 +391,6 @@ DisclosureEngine::EngineStats DisclosureEngine::Stats() const {
   stats.interner = labeler_.interner_stats();
   stats.containment = labeler_.cache_stats();
   stats.fold_scratch_reuses = rewriting::FoldScratchReuses();
-  stats.reclaim = mode_;
   stats.ebr = epoch::Domain::Instance().Stats();
   {
     // One snapshot load per Stats call: the live epoch and the shadow

@@ -9,33 +9,31 @@
 //   1. frozen shared state (engine/snapshot.h): the interned view catalog,
 //      precomputed view labels, the rewriting-order closure, and a frozen
 //      warmup label table, built once and read lock-free;
-//   2. sharded concurrency: the dynamic labeling overlay behind a
-//      reader/writer lock (engine/labeler.h), the sharded
-//      rewriting::ContainmentCache, and per-principal monitor state in a
-//      sharded open-addressed map (engine/principal_map.h) — Submit /
-//      SubmitBatch from N threads on distinct principals touch disjoint
-//      shard locks and never serialize on labeling hits;
+//   2. sharded concurrency: the dynamic labeling overlay, whose warm hits
+//      are lock-free chunk probes (engine/labeler.h), and per-principal
+//      monitor state in a sharded open-addressed map
+//      (engine/principal_map.h) — Submit / SubmitBatch from N threads on
+//      distinct principals touch disjoint shard locks and never serialize
+//      on labeling hits;
 //   3. policy epochs: UpdatePolicy compiles a new EngineSnapshot and
 //      publishes it atomically. Every request loads the snapshot exactly
 //      once, so it sees one consistent policy — never a half-updated one —
 //      and per-principal state is epoch-tagged so stale consistency bits
-//      can never leak across policies. Publication is dual-mode
-//      (EngineOptions::reclaim / FDC_EPOCH): under kEbr (default) the
-//      request path loads an epoch-protected raw pointer under an
-//      epoch::Guard — no lock, no refcount traffic — and the retired
-//      snapshot is reclaimed through epoch::Domain once every in-flight
-//      reader has unpinned; under kLocked the pre-EBR shared_ptr-under-
-//      rwlock path is preserved as the property-test oracle.
+//      can never leak across policies. The request path loads an
+//      epoch-protected raw pointer under an epoch::Guard — no lock, no
+//      refcount traffic — and a replaced snapshot is reclaimed through
+//      epoch::Domain once every in-flight reader has unpinned.
 //
-// Ablation/oracle baseline: the seed single-threaded path is kept intact
-// behind GuardedDatabase's use_engine=false mode and LabelingPipeline;
+// Oracle: the seed single-threaded path is kept intact behind
+// GuardedDatabase's use_engine=false mode and LabelingPipeline +
+// ReferenceMonitor, and the engine is differential-tested against it
+// (tests/engine_equivalence_test.cc, tests/engine_concurrency_test.cc);
 // bench/fig_engine_scaling.cc sweeps 1→N threads against this facade.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -75,11 +73,6 @@ struct EngineOptions {
   /// Dissection options shared by every tier (must not vary per request:
   /// labels are memoized).
   label::DissectOptions dissect;
-  /// Read-path reclaim mode for snapshot publication (kAuto defers to
-  /// FDC_EPOCH; default ebr). Propagated to the labeler when
-  /// labeler.reclaim is also kAuto, so one choice configures the whole
-  /// engine read path consistently.
-  epoch::ReclaimChoice reclaim = epoch::ReclaimChoice::kAuto;
 };
 
 class DisclosureEngine {
@@ -98,13 +91,11 @@ class DisclosureEngine {
   /// read is consistent). This is the ownership-transferring API for
   /// control-plane callers (server hello/drain frames, tests); the request
   /// hot path uses the internal epoch-pinned raw-pointer load instead and
-  /// never touches this lock in EBR mode.
+  /// never touches this lock.
   std::shared_ptr<const EngineSnapshot> Snapshot() const {
     std::shared_lock<locks::CountedSharedMutex> lock(snapshot_mu_);
     return snapshot_;
   }
-
-  epoch::ReclaimMode reclaim_mode() const { return mode_; }
 
   /// Compiles `policy` into a new snapshot and publishes it atomically.
   /// In-flight requests finish against the snapshot they already loaded
@@ -184,7 +175,7 @@ class DisclosureEngine {
 
   /// Coalesced decisions across principals: everything a server drained
   /// from one event-loop wake goes through a single batched labeling pass
-  /// (batch/SIMD kernel + batch label dedup at the wire path's natural
+  /// (batch kernel + batch label dedup at the wire path's natural
   /// batch size), then one monitor SubmitBatch per distinct principal
   /// group (arrival order preserved within each principal). Decision-
   /// identical to calling Submit per request in order: principals' monitor
@@ -239,10 +230,9 @@ class DisclosureEngine {
     /// scratch arena. Process-wide (rewriting::FoldScratchReuses), not
     /// per-engine: it counts every consumer in the process.
     uint64_t fold_scratch_reuses = 0;
-    /// Read-path reclamation: the engine's resolved mode plus the shared
-    /// epoch::Domain counters (process-wide — every EBR structure retires
-    /// through the same domain).
-    epoch::ReclaimMode reclaim = epoch::ReclaimMode::kLocked;
+    /// Read-path reclamation: the shared epoch::Domain counters
+    /// (process-wide — every EBR structure retires through the same
+    /// domain).
     epoch::DomainStats ebr;
     /// Shadow-policy divergence audit (SetShadowPolicy). The counters are
     /// cumulative across shadow policies; epoch/policy_name describe the
@@ -265,58 +255,43 @@ class DisclosureEngine {
 
  private:
   // Request-scoped snapshot access: constructed once per request (or per
-  // retry loop), then Load()/LoadShadow() as often as needed. In EBR mode
-  // it pins one epoch::Guard for its lifetime and every load is a single
-  // acquire load of the published raw pointer — pointers stay valid until
-  // the guard drops because retired snapshots pass through epoch::Domain.
-  // In locked mode each load copies the shared_ptr under the reader lock
-  // (the pre-EBR path, kept as the oracle). Holding the guard across a
-  // retry loop is safe: a pinned epoch also protects pointers published
-  // *after* the pin (they retire at an epoch the pin blocks from expiring).
+  // retry loop), then Load()/LoadShadow() as often as needed. It pins one
+  // epoch::Guard for its lifetime and every load is a single acquire load
+  // of the published raw pointer — pointers stay valid until the guard
+  // drops because retired snapshots pass through epoch::Domain. Holding the
+  // guard across a retry loop is safe: a pinned epoch also protects
+  // pointers published *after* the pin (they retire at an epoch the pin
+  // blocks from expiring).
   class SnapshotAccess {
    public:
     explicit SnapshotAccess(const DisclosureEngine* engine)
-        : engine_(engine) {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) guard_.emplace();
-    }
+        : engine_(engine) {}
     const EngineSnapshot* Load() {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) {
-        return engine_->snapshot_ptr_.load(std::memory_order_acquire);
-      }
-      owned_ = engine_->Snapshot();
-      return owned_.get();
+      return engine_->snapshot_ptr_.load(std::memory_order_acquire);
     }
     /// Current shadow snapshot, or nullptr when no shadow policy is staged.
     const EngineSnapshot* LoadShadow() {
-      if (engine_->mode_ == epoch::ReclaimMode::kEbr) {
-        return engine_->shadow_ptr_.load(std::memory_order_acquire);
-      }
-      shadow_owned_ = engine_->ShadowSnapshot();
-      return shadow_owned_.get();
+      return engine_->shadow_ptr_.load(std::memory_order_acquire);
     }
 
    private:
     const DisclosureEngine* engine_;
-    std::optional<epoch::Guard> guard_;
-    std::shared_ptr<const EngineSnapshot> owned_;
-    std::shared_ptr<const EngineSnapshot> shadow_owned_;
+    epoch::Guard guard_;
   };
 
   const storage::Database* db_;
   std::shared_ptr<const FrozenCatalog> frozen_;
-  epoch::ReclaimMode mode_;
   ConcurrentLabeler labeler_;
   PrincipalStateMap principals_;
-  // Snapshot publication. The shared_ptr under the rwlock remains the
-  // owning store in both modes (and the locked-mode read path — readers
-  // copy the pointer under the shared side; deliberately not
-  // std::atomic<std::shared_ptr>, whose libstdc++ _Sp_atomic spin-bit
-  // protocol trips ThreadSanitizer). In EBR mode the raw pointer below is
-  // the read path: published with a release store inside the writer
-  // section, loaded with one acquire load under an epoch::Guard, and the
-  // displaced snapshot's ownership is parked in a heap holder retired
-  // through epoch::Domain so its refcount cannot drop while any reader is
-  // still pinned.
+  // Snapshot publication. The shared_ptr under the rwlock is the owning
+  // store, which control-plane callers copy through Snapshot()
+  // (deliberately not std::atomic<std::shared_ptr>, whose libstdc++
+  // _Sp_atomic spin-bit protocol trips ThreadSanitizer). The raw pointer
+  // below is the request read path: published with a release store inside
+  // the writer section, loaded with one acquire load under an epoch::Guard,
+  // and the displaced snapshot's ownership is parked in a heap holder
+  // retired through epoch::Domain so its refcount cannot drop while any
+  // reader is still pinned.
   mutable locks::CountedSharedMutex snapshot_mu_;
   std::shared_ptr<const EngineSnapshot> snapshot_;
   std::atomic<const EngineSnapshot*> snapshot_ptr_{nullptr};
@@ -329,7 +304,7 @@ class DisclosureEngine {
   // only shadow cost per decision is one relaxed-ish atomic load.
   std::atomic<bool> shadow_enabled_{false};
   std::shared_ptr<const EngineSnapshot> shadow_snapshot_;  // snapshot_mu_
-  // EBR read path for the shadow snapshot, mirroring snapshot_ptr_
+  // Request read path for the shadow snapshot, mirroring snapshot_ptr_
   // (nullptr = no shadow staged).
   std::atomic<const EngineSnapshot*> shadow_ptr_{nullptr};
   std::string shadow_name_;                                // snapshot_mu_
@@ -343,10 +318,6 @@ class DisclosureEngine {
   std::atomic<uint64_t> shadow_agree_{0};
   std::atomic<uint64_t> shadow_stricter_{0};
   std::atomic<uint64_t> shadow_looser_{0};
-  std::shared_ptr<const EngineSnapshot> ShadowSnapshot() const {
-    std::shared_lock<locks::CountedSharedMutex> lock(snapshot_mu_);
-    return shadow_snapshot_;
-  }
   /// Replays one principal's just-decided labels against the shadow
   /// policy and tallies agreement; `live` holds the live decisions in
   /// `labels` order.

@@ -95,15 +95,10 @@ ConcurrentLabeler::ConcurrentLabeler(
     std::shared_ptr<const FrozenCatalog> frozen, Options options)
     : frozen_(std::move(frozen)),
       options_(options),
-      mode_(epoch::Resolve(options.reclaim)),
       stateless_(&frozen_->catalog(), frozen_->dissect_options()) {
   if (options_.ablate_compiled_matcher) {
-    // The cache follows the labeler's resolved mode so one FDC_EPOCH leg
-    // exercises one consistent read-path design end to end.
     cache_ = std::make_unique<rewriting::ContainmentCache>(
-        options_.containment_cache_capacity, 64,
-        mode_ == epoch::ReclaimMode::kEbr ? epoch::ReclaimChoice::kEbr
-                                          : epoch::ReclaimChoice::kLocked);
+        options_.containment_cache_capacity);
   }
 }
 
@@ -144,7 +139,6 @@ void ConcurrentLabeler::PublishChunkLocked() {
 }
 
 void ConcurrentLabeler::NotePublishPressureLocked() {
-  if (mode_ != epoch::ReclaimMode::kEbr) return;
   ++publish_pressure_;
   const size_t threshold =
       std::max<size_t>(1, std::max(options_.overlay_min_publish,
@@ -153,7 +147,6 @@ void ConcurrentLabeler::NotePublishPressureLocked() {
 }
 
 void ConcurrentLabeler::PublishOverlayChunk() {
-  if (mode_ != epoch::ReclaimMode::kEbr) return;
   std::unique_lock<locks::CountedSharedMutex> lock(mu_);
   PublishChunkLocked();
 }
@@ -215,10 +208,9 @@ label::DisclosureLabel ConcurrentLabeler::Label(
     return *hit;
   }
 
-  // Tier 2a: EBR mode probes the published chunk under an epoch guard (no
-  // lock, no shared state mutation); locked mode takes the shared (reader)
-  // side of the overlay lock, exactly the pre-EBR path.
-  if (mode_ == epoch::ReclaimMode::kEbr) {
+  // Tier 2a: probe the published chunk under an epoch guard (no lock, no
+  // shared state mutation).
+  {
     epoch::Guard guard;
     if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
       if (const label::DisclosureLabel* hit =
@@ -233,16 +225,6 @@ label::DisclosureLabel ConcurrentLabeler::Label(
         overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
         overlay_hits_.fetch_add(1, std::memory_order_relaxed);
         return *hit;
-      }
-    }
-  } else {
-    std::shared_lock<locks::CountedSharedMutex> lock(mu_);
-    overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
-    if (const cq::InternedQuery* interned = interner_.Find(query)) {
-      auto it = label_by_query_.find(interned->id());
-      if (it != label_by_query_.end()) {
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
       }
     }
   }
@@ -269,8 +251,8 @@ label::DisclosureLabel ConcurrentLabeler::Label(
     auto it = label_by_query_.find(interned->id());
     if (it != label_by_query_.end()) {
       overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-      // EBR: a memoized entry the chunk doesn't cover yet — publish
-      // pressure, so repeated traffic re-freezes the chunk promptly.
+      // A memoized entry the chunk doesn't cover yet — publish pressure,
+      // so repeated traffic re-freezes the chunk promptly.
       NotePublishPressureLocked();
       return it->second;
     }
@@ -347,10 +329,9 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
   }
   if (unresolved.empty()) return out;
 
-  // Tier 2a: EBR mode probes the published chunk for every miss under one
-  // epoch guard (no lock); locked mode keeps the pre-EBR single shared
-  // (reader) section.
-  if (mode_ == epoch::ReclaimMode::kEbr) {
+  // Tier 2a: probe the published chunk for every miss under one epoch guard
+  // (no lock).
+  {
     epoch::Guard guard;
     if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
       size_t kept = 0;
@@ -372,27 +353,11 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
       }
       unresolved.resize(kept);
     }
-  } else {
-    std::shared_lock<locks::CountedSharedMutex> lock(mu_);
-    overlay_reader_locks_.fetch_add(1, std::memory_order_relaxed);
-    size_t kept = 0;
-    for (const size_t k : unresolved) {
-      if (const cq::InternedQuery* interned = interner_.Find(*queries[k])) {
-        auto it = label_by_query_.find(interned->id());
-        if (it != label_by_query_.end()) {
-          overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-          out[k] = it->second;
-          continue;
-        }
-      }
-      unresolved[kept++] = k;
-    }
-    unresolved.resize(kept);
   }
   if (unresolved.empty()) return out;
 
   // Writer pass 1: intern the misses and dedupe the batch's novel
-  // structures (racing threads may have labeled some since the reader
+  // structures (racing threads may have labeled some since the chunk
   // probe — those resolve here). Saturated-interner queries get compute
   // slots too; they are just never memoized.
   constexpr int32_t kResolved = -1;
@@ -417,7 +382,7 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
       auto it = label_by_query_.find(id);
       if (it != label_by_query_.end()) {
         overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        // Memoized but not yet chunk-visible (EBR): publish pressure.
+        // Memoized but not yet chunk-visible: publish pressure.
         NotePublishPressureLocked();
         out[k] = it->second;
         continue;
@@ -456,8 +421,6 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
                                std::memory_order_relaxed);
     per_view_tests_avoided_.fetch_add(counters.per_view_tests_avoided,
                                       std::memory_order_relaxed);
-    simd_lanes_used_.fetch_add(counters.simd_lanes_used,
-                               std::memory_order_relaxed);
 
     // Writer pass 2: memoize the genuinely novel structures. A racing
     // duplicate insert loses harmlessly — labels of one structure are
@@ -494,7 +457,6 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
       compiled_mask_evals_.load(std::memory_order_relaxed);
   stats.wide_mask_evals = wide_mask_evals_.load(std::memory_order_relaxed);
   stats.batch_mask_evals = batch_mask_evals_.load(std::memory_order_relaxed);
-  stats.simd_lanes_used = simd_lanes_used_.load(std::memory_order_relaxed);
   stats.per_view_tests_avoided =
       per_view_tests_avoided_.load(std::memory_order_relaxed);
   stats.overlay_chunk_hits =
@@ -503,8 +465,6 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
       overlay_chunk_publishes_.load(std::memory_order_relaxed);
   stats.overlay_chunk_entries =
       overlay_chunk_entries_.load(std::memory_order_relaxed);
-  stats.overlay_reader_locks =
-      overlay_reader_locks_.load(std::memory_order_relaxed);
   return stats;
 }
 

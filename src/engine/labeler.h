@@ -6,28 +6,21 @@
 //
 //   1. the FrozenCatalog warmup tier is probed first — an immutable
 //      interner + label table, read lock-free by any number of threads;
-//   2. misses fall into a *dynamic overlay*. Its read side depends on the
-//      reclaim mode (Options::reclaim / FDC_EPOCH):
-//        * kEbr (default): warm hits take NO lock. An immutable
-//          OverlayChunk — the overlay interner's raw and canonical tables
-//          plus their memoized labels, frozen into open-addressed arrays —
-//          is published through an epoch-protected atomic pointer and
-//          probed under an epoch::Guard. The chunk is rebuilt under the
-//          write mutex when enough novel structures accumulate
-//          (Options::overlay_min_publish + a live-size-proportional
-//          threshold, so rebuild work is amortized O(n)) and the old chunk
-//          is retired through epoch::Domain, never freed under a reader.
-//          Chunk misses (genuinely novel structures, or entries memoized
-//          since the last publish) take the exclusive write side to intern
-//          and label once. A stale chunk is always *correct* — labels are
-//          pure functions of the query — it just under-hits.
-//        * kLocked: the pre-EBR rwlock overlay, kept bit-identical as the
-//          property-test oracle — repeated structures resolve under the
-//          shared (reader) side via QueryInterner::Find; novel structures
-//          take the exclusive side.
-//      Per-atom ℓ+ masks come from the frozen tier's
-//      CompiledCatalogMatcher (one allocation-free pass per atom, read
-//      lock-free); the seed per-view kernel — pattern interning + the
+//   2. misses fall into a *dynamic overlay* whose warm hits take NO lock.
+//      An immutable OverlayChunk — the overlay interner's raw and canonical
+//      tables plus their memoized labels, frozen into open-addressed
+//      arrays — is published through an epoch-protected atomic pointer and
+//      probed under an epoch::Guard. The chunk is rebuilt under the write
+//      mutex when enough novel structures accumulate
+//      (Options::overlay_min_publish + a live-size-proportional threshold,
+//      so rebuild work is amortized O(n)) and the old chunk is retired
+//      through epoch::Domain, never freed under a reader. Chunk misses
+//      (genuinely novel structures, or entries memoized since the last
+//      publish) take the exclusive write side to intern and label once. A
+//      stale chunk is always *correct* — labels are pure functions of the
+//      query — it just under-hits. Per-atom ℓ+ masks come from the frozen
+//      tier's CompiledCatalogMatcher (one allocation-free pass per atom,
+//      read lock-free); the seed per-view kernel — pattern interning + the
 //      sharded rewriting::ContainmentCache — stays behind
 //      Options::ablate_compiled_matcher as the oracle;
 //   3. when the overlay interner saturates (principal-controlled input must
@@ -88,12 +81,9 @@ struct ConcurrentLabelerOptions {
   /// pre-batch shape) instead of the bucketed MatchMaskBatch path. Labels
   /// are identical either way; isolates the batch kernel in benchmarks.
   bool ablate_batch_kernel = false;
-  /// Overlay read-side reclaim mode: kAuto defers to FDC_EPOCH (default
-  /// ebr). kLocked preserves the rwlock overlay as the oracle.
-  epoch::ReclaimChoice reclaim = epoch::ReclaimChoice::kAuto;
-  /// EBR mode: minimum publish pressure (novel memoizations + warm hits
-  /// served from the write side because the chunk is stale) before the
-  /// overlay chunk is rebuilt and re-published. The effective threshold is
+  /// Minimum publish pressure (novel memoizations + warm hits served from
+  /// the write side because the chunk is stale) before the overlay chunk is
+  /// rebuilt and re-published. The effective threshold is
   /// max(overlay_min_publish, live_entries/8), so rebuild cost stays
   /// amortized-linear under novel floods. Tests set 1 for determinism.
   size_t overlay_min_publish = 16;
@@ -115,22 +105,15 @@ class ConcurrentLabeler {
     // Of those, masks evaluated through the batch-structured kernel
     // (LabelBatch's per-relation buckets via MatchMaskBatch).
     uint64_t batch_mask_evals = 0;
-    // 64-bit mask words ANDed by vector (AVX2/NEON) instructions in those
-    // batch evaluations; 0 under scalar dispatch (FDC_SIMD=scalar) and for
-    // one-word (narrow) relations, which always run the scalar fused loop.
-    uint64_t simd_lanes_used = 0;
     // Per-view rewritability tests the seed kernel would have run for
     // those masks.
     uint64_t per_view_tests_avoided = 0;
-    // EBR overlay: warm hits served lock-free from the published chunk
-    // (a subset of overlay_hits), chunk rebuild/publish count, and entries
-    // in the currently published chunk (raw + canonical).
+    // Warm hits served lock-free from the published chunk (a subset of
+    // overlay_hits), chunk rebuild/publish count, and entries in the
+    // currently published chunk (raw + canonical).
     uint64_t overlay_chunk_hits = 0;
     uint64_t overlay_chunk_publishes = 0;
     uint64_t overlay_chunk_entries = 0;
-    // Reader-side (shared) acquisitions of the overlay lock — the bench
-    // counter proving the wait-free read path: 0 in EBR mode.
-    uint64_t overlay_reader_locks = 0;
   };
 
   explicit ConcurrentLabeler(std::shared_ptr<const FrozenCatalog> frozen,
@@ -142,11 +125,11 @@ class ConcurrentLabeler {
 
   /// Labels a batch; each distinct novel structure is computed once. On the
   /// compiled path the batch's novel structures resolve through the
-  /// batch-structured frozen-tier kernel: one reader section probes the
-  /// overlay for every miss, a first writer section interns and dedupes,
-  /// the heavy compute (Dissect + per-relation MatchMaskBatch buckets via
-  /// label::LabelQueriesBatched) runs with no lock held, and a second
-  /// writer section memoizes. `ablate_batch_kernel` (or the seed-kernel
+  /// batch-structured frozen-tier kernel: one epoch-pinned pass probes the
+  /// overlay chunk for every miss, a first writer section interns and
+  /// dedupes, the heavy compute (Dissect + per-relation MatchMaskBatch
+  /// buckets via label::LabelQueriesBatched) runs with no lock held, and a
+  /// second writer section memoizes. `ablate_batch_kernel` (or the seed-kernel
   /// ablation) restores the per-query loop.
   std::vector<label::DisclosureLabel> LabelBatch(
       std::span<const cq::ConjunctiveQuery> queries);
@@ -168,12 +151,10 @@ class ConcurrentLabeler {
   }
   cq::QueryInterner::Stats interner_stats() const;
   const FrozenCatalog& frozen() const { return *frozen_; }
-  epoch::ReclaimMode reclaim_mode() const { return mode_; }
 
-  /// EBR mode: force an overlay chunk rebuild + publish now (no-op in
-  /// locked mode). Tests and operators use it to make every memoized entry
-  /// immediately probe-able lock-free instead of waiting for publish
-  /// pressure to accumulate.
+  /// Forces an overlay chunk rebuild + publish now. Tests and operators use
+  /// it to make every memoized entry immediately probe-able lock-free
+  /// instead of waiting for publish pressure to accumulate.
   void PublishOverlayChunk();
 
  private:
@@ -187,31 +168,28 @@ class ConcurrentLabeler {
   label::DisclosureLabel ComputeLabelLocked(
       const cq::ConjunctiveQuery& canonical);
 
-  /// EBR write side, mu_ held exclusively: bumps publish pressure and
-  /// rebuilds + publishes the chunk when it crosses the threshold.
+  /// Write side, mu_ held exclusively: bumps publish pressure and rebuilds
+  /// + publishes the chunk when it crosses the threshold.
   void NotePublishPressureLocked();
   void PublishChunkLocked();
 
   std::shared_ptr<const FrozenCatalog> frozen_;
   Options options_;
-  epoch::ReclaimMode mode_;
   label::LabelerPipeline stateless_;  // pure fallback; const methods only
   // Sharded, internally synchronized; only the ablated seed kernel probes
   // it, so it is constructed only when that mode is selected.
   std::unique_ptr<rewriting::ContainmentCache> cache_;
 
-  // Dynamic overlay write side (and, in locked mode, the reader side):
-  // QueryInterner::Find + memo probes under shared_lock, interning and
-  // labeling of novel structures under unique_lock. In EBR mode readers
-  // never touch mu_ — they probe the published chunk below. The mutex type
-  // counts shared acquisitions so tests can assert the EBR warm path takes
-  // zero reader-side locks.
+  // Dynamic overlay write side: interning and labeling of novel structures
+  // under unique_lock. Readers never touch mu_ — they probe the published
+  // chunk below. The mutex type counts shared acquisitions so tests can
+  // assert the warm path takes zero reader-side locks.
   mutable locks::CountedSharedMutex mu_;
   cq::QueryInterner interner_;
   std::unordered_map<int, label::DisclosureLabel> label_by_query_;
   std::unordered_map<int, label::PackedAtomLabel> mask_by_pattern_;
 
-  // EBR overlay chunk: immutable snapshot of (raw form | canonical key) ->
+  // Overlay chunk: immutable snapshot of (raw form | canonical key) ->
   // label, swapped atomically on publish; the old chunk is retired through
   // epoch::Domain. Null until the first publish.
   std::atomic<const OverlayChunk*> chunk_{nullptr};
@@ -226,12 +204,10 @@ class ConcurrentLabeler {
   std::atomic<uint64_t> compiled_mask_evals_{0};
   std::atomic<uint64_t> wide_mask_evals_{0};
   std::atomic<uint64_t> batch_mask_evals_{0};
-  std::atomic<uint64_t> simd_lanes_used_{0};
   std::atomic<uint64_t> per_view_tests_avoided_{0};
   std::atomic<uint64_t> overlay_chunk_hits_{0};
   std::atomic<uint64_t> overlay_chunk_publishes_{0};
   std::atomic<uint64_t> overlay_chunk_entries_{0};
-  std::atomic<uint64_t> overlay_reader_locks_{0};
 };
 
 }  // namespace fdc::engine

@@ -3,9 +3,6 @@
 #include <cinttypes>
 #include <cstdint>
 
-#include "common/epoch.h"
-#include "common/simd.h"
-
 namespace fdc::engine {
 
 namespace {
@@ -199,12 +196,10 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("compiled_mask_evals", stats.labeler.compiled_mask_evals);
   w.Field("wide_mask_evals", stats.labeler.wide_mask_evals);
   w.Field("batch_mask_evals", stats.labeler.batch_mask_evals);
-  w.Field("simd_lanes_used", stats.labeler.simd_lanes_used);
   w.Field("per_view_tests_avoided", stats.labeler.per_view_tests_avoided);
   w.Field("overlay_chunk_hits", stats.labeler.overlay_chunk_hits);
   w.Field("overlay_chunk_publishes", stats.labeler.overlay_chunk_publishes);
   w.Field("overlay_chunk_entries", stats.labeler.overlay_chunk_entries);
-  w.Field("overlay_reader_locks", stats.labeler.overlay_reader_locks);
   w.EndObject();
 
   w.BeginObject("interner");
@@ -224,11 +219,8 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.EndObject();
 
   w.Field("fold_scratch_reuses", stats.fold_scratch_reuses);
-  w.StringField("simd_isa", simd::IsaName(simd::ActiveIsa()));
 
   w.BeginObject("ebr");
-  w.StringField("mode", stats.reclaim == epoch::ReclaimMode::kEbr ? "ebr"
-                                                                  : "locked");
   w.Field("epoch", stats.ebr.epoch);
   w.Field("retired", stats.ebr.retired);
   w.Field("freed", stats.ebr.freed);

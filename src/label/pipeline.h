@@ -115,7 +115,6 @@ struct BatchLabelCounters {
   uint64_t batch_mask_evals = 0;        // masks evaluated through the kernel
   uint64_t wide_mask_evals = 0;         // of those, wide-relation masks
   uint64_t per_view_tests_avoided = 0;  // seed per-view tests replaced
-  uint64_t simd_lanes_used = 0;         // vector-ANDed 64-bit mask words
 };
 
 /// The batched labeling core shared by LabelingPipeline::LabelBatch and
@@ -153,7 +152,7 @@ void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
 ///   4. LabelBatch buckets a whole batch by interned id and computes each
 ///      distinct label exactly once; the novel structures' dissected atoms
 ///      are then bucketed per relation and evaluated through the
-///      batch-structured SIMD kernel (MatchMaskBatch — see
+///      batch-structured kernel (MatchMaskBatch — see
 ///      LabelQueriesBatched), with the per-atom loop kept behind
 ///      `ablate_batch_kernel`.
 ///
@@ -165,8 +164,8 @@ void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
 /// state, so an instance must be confined to one thread; it remains the
 /// seed/ablation oracle and the right choice for one-shot tools. Serving
 /// threads share labeling state through engine::ConcurrentLabeler instead,
-/// which layers a lock-free frozen tier and a reader/writer-guarded overlay
-/// over the same algorithm (identical labels, property-tested). The
+/// which layers a lock-free frozen tier and an overlay with lock-free warm
+/// hits over the same algorithm (identical labels, property-tested). The
 /// ContainmentCache it is handed may be shared freely (that class is
 /// internally sharded and thread-safe); the QueryInterner may not, unless
 /// frozen (see interned.h).
@@ -212,11 +211,6 @@ class LabelingPipeline {
     // Of those, masks evaluated through the batch-structured kernel
     // (LabelBatch's per-relation buckets via MatchMaskBatch).
     uint64_t batch_mask_evals = 0;
-    // 64-bit mask words ANDed by vector (AVX2/NEON) instructions inside
-    // those batch evaluations; stays 0 under scalar dispatch (FDC_SIMD) and
-    // for one-word (narrow) relations, which always run the scalar fused
-    // loop.
-    uint64_t simd_lanes_used = 0;
     // Per-view rewritability tests the seed loop would have run for those
     // masks (the work the compiled matcher replaces outright).
     uint64_t per_view_tests_avoided = 0;

@@ -1,5 +1,6 @@
 #include "rewriting/containment_cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/locks.h"
@@ -9,9 +10,7 @@
 
 namespace fdc::rewriting {
 
-ContainmentCache::ContainmentCache(size_t capacity, size_t shards,
-                                   epoch::ReclaimChoice reclaim)
-    : mode_(epoch::Resolve(reclaim)) {
+ContainmentCache::ContainmentCache(size_t capacity, size_t shards) {
   if (shards < 1) shards = 1;
   num_shards_ = std::bit_ceil(shards);
   if (capacity < 2 * num_shards_) capacity = 2 * num_shards_;
@@ -36,39 +35,12 @@ std::optional<bool> ContainmentCache::Lookup(Kind kind, int a, int b) {
   const uint64_t key = MakeKey(a, b);
   const uint64_t hash = HashFor(kind, key);
   Shard& shard = ShardFor(hash);
-  const Entry& entry = shard.entries[SlotFor(hash)];
-  if (mode_ == epoch::ReclaimMode::kEbr) {
-    // Seqlock-validated probe: no lock. If a writer was mid-store anywhere
-    // in this shard we report a miss and let the caller recompute the pure
-    // function — a benign duplicate, never a wrong answer.
-    const uint64_t v1 = shard.version.load(std::memory_order_acquire);
-    if ((v1 & 1) == 0) {
-      const uint64_t k = entry.key.load(std::memory_order_relaxed);
-      const uint32_t kd = entry.kind.load(std::memory_order_relaxed);
-      const uint8_t val = entry.value.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      const uint64_t v2 = shard.version.load(std::memory_order_relaxed);
-      if (v1 == v2) {
-        if (kd == static_cast<uint32_t>(kind) && k == key) {
-          shard.hits.fetch_add(1, std::memory_order_relaxed);
-          return val != 0;
-        }
-        shard.misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-      }
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  // Locked oracle path: exactly the pre-EBR probe. Counts as a reader-side
-  // lock acquisition for the wait-free-path proof.
   locks::CountReaderLockAcquisition();
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (entry.kind.load(std::memory_order_relaxed) ==
-          static_cast<uint32_t>(kind) &&
-      entry.key.load(std::memory_order_relaxed) == key) {
+  const Entry& entry = shard.entries[SlotFor(hash)];
+  if (entry.kind == static_cast<uint32_t>(kind) && entry.key == key) {
     shard.hits.fetch_add(1, std::memory_order_relaxed);
-    return entry.value.load(std::memory_order_relaxed) != 0;
+    return entry.value;
   }
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
@@ -80,22 +52,11 @@ void ContainmentCache::Insert(Kind kind, int a, int b, bool value) {
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
   Entry& entry = shard.entries[SlotFor(hash)];
-  const uint32_t old_kind = entry.kind.load(std::memory_order_relaxed);
-  const uint64_t old_key = entry.key.load(std::memory_order_relaxed);
-  if (old_kind != 0 &&
-      (old_kind != static_cast<uint32_t>(kind) || old_key != key)) {
+  if (entry.kind != 0 &&
+      (entry.kind != static_cast<uint32_t>(kind) || entry.key != key)) {
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  // Seqlock write side (version odd while the slot is inconsistent). The
-  // release fence orders the odd store before the field stores; the final
-  // release store publishes the fields to validated readers.
-  const uint64_t v = shard.version.load(std::memory_order_relaxed);
-  shard.version.store(v + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  entry.key.store(key, std::memory_order_relaxed);
-  entry.kind.store(static_cast<uint32_t>(kind), std::memory_order_relaxed);
-  entry.value.store(value ? 1 : 0, std::memory_order_relaxed);
-  shard.version.store(v + 2, std::memory_order_release);
+  entry = Entry{key, static_cast<uint32_t>(kind), value};
   shard.insertions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -169,15 +130,7 @@ void ContainmentCache::Clear() {
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
-    const uint64_t v = shard.version.load(std::memory_order_relaxed);
-    shard.version.store(v + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    for (size_t i = 0; i < slots_per_shard_; ++i) {
-      shard.entries[i].key.store(0, std::memory_order_relaxed);
-      shard.entries[i].kind.store(0, std::memory_order_relaxed);
-      shard.entries[i].value.store(0, std::memory_order_relaxed);
-    }
-    shard.version.store(v + 2, std::memory_order_release);
+    std::fill_n(shard.entries.get(), slots_per_shard_, Entry{});
     shard.hits.store(0, std::memory_order_relaxed);
     shard.misses.store(0, std::memory_order_relaxed);
     shard.insertions.store(0, std::memory_order_relaxed);

@@ -18,22 +18,15 @@
 //     catalog view ids, interned query/pattern ids) share one table without
 //     cross-talk.
 //
-// Sharing contract (the engine tier-2 design): the table is split into
-// mutex-striped shards selected by key hash, so one instance is safe for
-// any number of concurrent callers. Writers (Insert, and the insert half of
-// Contained/RewritableCached misses) hold exactly one shard mutex for the
-// table store and never while computing a decision (a racing pair may both
-// compute the same value; both inserts store the identical decision, so the
-// race is benign). Readers depend on the reclaim mode:
-//
-//   * kEbr (default, FDC_EPOCH=ebr|auto): Lookup takes NO lock. Each shard
-//     carries a seqlock version (odd while a writer is mid-store); a probe
-//     reads the version, the slot's atomic fields, then re-reads the
-//     version, and treats any mismatch as a miss. A false miss just
-//     recomputes a pure function — correctness never depends on the probe.
-//   * kLocked (FDC_EPOCH=locked): Lookup takes the shard mutex, exactly the
-//     pre-EBR behavior; it is kept as the property-test oracle and counts
-//     as a reader-side lock acquisition for the wait-free-path proof.
+// Sharing contract: the table is split into mutex-striped shards selected
+// by key hash, so one instance is safe for any number of concurrent
+// callers. Lookup and Insert each hold exactly one shard mutex for the
+// probe or store, and never while computing a decision (a racing pair may
+// both compute the same value; both inserts store the identical decision,
+// so the race is benign). A Lookup counts as a reader-side lock
+// acquisition (common/locks.h). No served request probes the cache: the
+// engine builds one only for the ablated seed labeling kernel, whose probes
+// already run under the labeler's exclusive lock.
 //
 // stats() sums the per-shard counters (relaxed atomics) and may interleave
 // with updates, so it is a consistent-enough snapshot for observability,
@@ -53,7 +46,6 @@
 #include <mutex>
 #include <optional>
 
-#include "common/epoch.h"
 #include "cq/interned.h"
 
 namespace fdc::rewriting {
@@ -80,13 +72,10 @@ class ContainmentCache {
   };
 
   /// `capacity` (total, across shards) is rounded up to a power of two;
-  /// default fits ~64K pair decisions in ~1.5 MB. `shards` is rounded to a
+  /// default fits ~64K pair decisions in ~1 MB. `shards` is rounded to a
   /// power of two too; the default is plenty of stripes for any realistic
-  /// serving-thread count. `reclaim` picks the read-probe mode (kAuto
-  /// defers to FDC_EPOCH; see the header comment).
-  explicit ContainmentCache(
-      size_t capacity = 1 << 16, size_t shards = 64,
-      epoch::ReclaimChoice reclaim = epoch::ReclaimChoice::kAuto);
+  /// serving-thread count.
+  explicit ContainmentCache(size_t capacity = 1 << 16, size_t shards = 64);
 
   /// Cached decision for (kind, a, b), or nullopt on miss.
   std::optional<bool> Lookup(Kind kind, int a, int b);
@@ -119,22 +108,18 @@ class ContainmentCache {
 
   size_t capacity() const { return num_shards_ * slots_per_shard_; }
   size_t num_shards() const { return num_shards_; }
-  epoch::ReclaimMode reclaim_mode() const { return mode_; }
   void Clear();
 
  private:
-  // Slot fields are individually atomic so lock-free probes never race a
-  // writer at the byte level (TSan-clean); the shard seqlock version is what
-  // guarantees the three fields are read as a mutually consistent triple.
+  // Guarded by the owning shard's mutex.
   struct Entry {
-    std::atomic<uint64_t> key{0};   // (a << 32) | b, both cast via uint32_t
-    std::atomic<uint32_t> kind{0};  // 0 = empty slot
-    std::atomic<uint8_t> value{0};  // decision
+    uint64_t key = 0;   // (a << 32) | b, both cast via uint32_t
+    uint32_t kind = 0;  // 0 = empty slot
+    bool value = false;  // decision
   };
 
   struct Shard {
-    mutable std::mutex mu;          // writers only (and locked-mode readers)
-    std::atomic<uint64_t> version{0};  // seqlock: odd while a write is open
+    std::mutex mu;
     std::unique_ptr<Entry[]> entries;
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
@@ -157,7 +142,6 @@ class ContainmentCache {
 
   size_t num_shards_;
   size_t slots_per_shard_;
-  epoch::ReclaimMode mode_;
   std::unique_ptr<Shard[]> shards_;
   // uid of the interner whose pattern ids populate kCatalogRewritable
   // entries (bound by the first RewritableCached call; 0 = unbound).

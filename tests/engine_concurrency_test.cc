@@ -18,12 +18,13 @@
 #include <thread>
 #include <vector>
 
-#include "common/epoch.h"
 #include "common/locks.h"
 #include "engine/principal_map.h"
 
 #include "fb/fb_schema.h"
 #include "fb/fb_views.h"
+#include "label/pipeline.h"
+#include "policy/reference_monitor.h"
 #include "test_util.h"
 #include "workload/policy_generator.h"
 #include "workload/query_generator.h"
@@ -338,7 +339,7 @@ TEST(EngineConcurrencyTest, SamePrincipalSubmitsAreAValidSerialization) {
   EXPECT_EQ(final_state, expected_final);
 }
 
-// EBR-specific stress (PR 10): readers label warm AND novel queries through
+// EBR stress: readers label warm AND novel queries through
 // Submit/SubmitBatch/SubmitCoalesced while a writer loop churns every
 // retire source at once — UpdatePolicy (snapshot retire), SetShadowPolicy/
 // ClearShadowPolicy (shadow snapshot retire), overlay growth with
@@ -359,13 +360,11 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   const auto novel_pool = RandomWorkload(&fb.schema, 2, 512, 0xbadcab1eULL);
 
   EngineOptions options;
-  options.reclaim = epoch::ReclaimChoice::kEbr;
   options.labeler.overlay_min_publish = 1;
   options.principals.shards = 4;
   options.principals.max_principals = 16;
   options.principals.idle_ttl_ticks = 1;
   DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy_a, options);
-  ASSERT_EQ(engine.reclaim_mode(), epoch::ReclaimMode::kEbr);
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 300;
@@ -433,7 +432,6 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   const DisclosureEngine::EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.submitted, stats.accepted + stats.refused);
   EXPECT_EQ(stats.submitted, decided.load());
-  EXPECT_EQ(stats.reclaim, epoch::ReclaimMode::kEbr);
   // The writer loop actually exercised every retire source.
   EXPECT_GT(stats.labeler.overlay_chunk_publishes, 0u);
   EXPECT_GT(stats.ebr.retired, 0u);
@@ -444,14 +442,18 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   }
 }
 
-// Differential oracle (PR 10): the EBR read path must be decision-for-
-// decision bit-identical to the locked path. Two engines — explicit kEbr
-// vs explicit kLocked — consume the same randomized single-threaded
-// stream (singles, batches, coalesced groups, policy swaps, shadow
-// set/clear at the same points); every decision vector, every principal's
-// final consistency mask, the policy epoch and the shadow divergence
-// counters must match exactly.
-TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
+// Differential oracle: the engine's EBR read path must be decision-for-
+// decision identical to the single-threaded seed path
+// (label::LabelingPipeline + policy::ReferenceMonitor). One randomized
+// stream — singles, batches, coalesced cross-principal groups, policy
+// swaps, shadow set/clear, and overlay_min_publish = 1 so the lock-free
+// chunk tier serves most warm hits — runs through the engine and through
+// the oracle. Live states restart at each live epoch; shadow states
+// restart at each SetShadowPolicy and persist across live swaps, exactly
+// like the engine's separate shadow state map. Every decision, every
+// principal's final consistency mask, and the shadow divergence counters
+// must match.
+TEST(EngineConcurrencyTest, EbrDecisionsMatchSeedPathOracle) {
   FbFixture fb;
   policy::SecurityPolicy policy_a =
       workload::PolicyGenerator(&fb.catalog, {}, 0xd1f01ULL).Next();
@@ -461,98 +463,125 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchLockedOracleBitIdentical) {
       workload::PolicyGenerator(&fb.catalog, {}, 0xd1f03ULL).Next();
   const auto pool = RandomWorkload(&fb.schema, 2, 256, 0xd1f04ULL);
 
-  EngineOptions ebr_options;
-  ebr_options.reclaim = epoch::ReclaimChoice::kEbr;
-  ebr_options.labeler.overlay_min_publish = 1;  // exercise the chunk path
-  EngineOptions locked_options;
-  locked_options.reclaim = epoch::ReclaimChoice::kLocked;
-  DisclosureEngine ebr(/*db=*/nullptr, &fb.catalog, policy_a, ebr_options);
-  DisclosureEngine locked(/*db=*/nullptr, &fb.catalog, policy_a,
-                          locked_options);
-  ASSERT_EQ(ebr.reclaim_mode(), epoch::ReclaimMode::kEbr);
-  ASSERT_EQ(locked.reclaim_mode(), epoch::ReclaimMode::kLocked);
+  EngineOptions options;
+  options.labeler.overlay_min_publish = 1;  // exercise the chunk path
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy_a, options);
 
   constexpr int kPrincipals = 6;
+  label::LabelingPipeline pipeline(&fb.catalog);
+  const policy::ReferenceMonitor monitor_a(&policy_a);
+  const policy::ReferenceMonitor monitor_b(&policy_b);
+  const policy::ReferenceMonitor shadow_monitor(&shadow);
+  const policy::ReferenceMonitor* live = &monitor_a;
+  std::vector<policy::PrincipalState> live_states(kPrincipals,
+                                                  live->InitialState());
+  std::vector<policy::PrincipalState> shadow_states;
+  bool shadow_on = false;
+  uint64_t accepted = 0, refused = 0;
+  uint64_t agree = 0, stricter = 0, looser = 0;
+  // One oracle decision, in stream order, plus its shadow tally.
+  auto decide = [&](int p, const cq::ConjunctiveQuery& query) {
+    const label::DisclosureLabel label = pipeline.Label(query);
+    const bool ok = live->Submit(&live_states[p], label);
+    ++(ok ? accepted : refused);
+    if (shadow_on) {
+      const bool would = shadow_monitor.Submit(&shadow_states[p], label);
+      ++(would == ok ? agree : ok ? stricter : looser);
+    }
+    return ok;
+  };
+
   constexpr int kSteps = 1200;
   auto name_of = [](uint64_t p) { return "diff-" + std::to_string(p); };
   Rng rng(0xd1f05ULL);
-  bool shadow_on = false;
+  uint64_t live_epoch = 1;
   for (int step = 0; step < kSteps; ++step) {
     if (step % 97 == 42) {
-      const auto& next = (step / 97) % 2 == 0 ? policy_b : policy_a;
-      EXPECT_EQ(ebr.UpdatePolicy(next), locked.UpdatePolicy(next));
+      live = (step / 97) % 2 == 0 ? &monitor_b : &monitor_a;
+      const uint64_t epoch = engine.UpdatePolicy(live->policy());
+      EXPECT_GT(epoch, live_epoch);
+      live_epoch = epoch;
+      live_states.assign(kPrincipals, live->InitialState());
     }
     if (step % 131 == 7) {
       if (shadow_on) {
-        ebr.ClearShadowPolicy();
-        locked.ClearShadowPolicy();
+        engine.ClearShadowPolicy();
       } else {
-        EXPECT_EQ(ebr.SetShadowPolicy(shadow, "diff-shadow"),
-                  locked.SetShadowPolicy(shadow, "diff-shadow"));
+        EXPECT_GT(engine.SetShadowPolicy(shadow, "diff-shadow"), live_epoch);
+        shadow_states.assign(kPrincipals, shadow_monitor.InitialState());
       }
       shadow_on = !shadow_on;
     }
-    const std::string principal = name_of(rng.Below(kPrincipals));
+    const int principal = static_cast<int>(rng.Below(kPrincipals));
     if (rng.Chance(0.2)) {
       std::vector<cq::ConjunctiveQuery> batch;
       const int span = static_cast<int>(rng.Below(6)) + 1;
       for (int j = 0; j < span; ++j) {
         batch.push_back(pool[rng.Below(pool.size())]);
       }
-      const auto batch_span = std::span(batch.data(), batch.size());
-      EXPECT_EQ(ebr.SubmitBatch(principal, batch_span),
-                locked.SubmitBatch(principal, batch_span))
+      std::vector<bool> expected;
+      for (const cq::ConjunctiveQuery& query : batch) {
+        expected.push_back(decide(principal, query));
+      }
+      EXPECT_EQ(engine.SubmitBatch(name_of(principal),
+                                   std::span(batch.data(), batch.size())),
+                expected)
           << "batch diverged at step " << step;
     } else if (rng.Chance(0.15)) {
       std::vector<cq::ConjunctiveQuery> queries;
+      std::vector<int> principals;
       std::vector<std::string> names;
       for (int j = 0; j < 4; ++j) {
         queries.push_back(pool[rng.Below(pool.size())]);
-        names.push_back(name_of(rng.Below(kPrincipals)));
+        principals.push_back(static_cast<int>(rng.Below(kPrincipals)));
+        names.push_back(name_of(principals.back()));
       }
       std::vector<DisclosureEngine::SubmitRequest> requests(4);
+      std::vector<bool> expected;
       for (int j = 0; j < 4; ++j) {
         requests[j].principal = names[j];
         requests[j].query = &queries[j];
+        expected.push_back(decide(principals[j], queries[j]));
       }
-      std::vector<bool> ebr_out, locked_out;
-      ebr.SubmitCoalesced(std::span(requests.data(), 4), &ebr_out);
-      locked.SubmitCoalesced(std::span(requests.data(), 4), &locked_out);
-      EXPECT_EQ(ebr_out, locked_out) << "coalesced diverged at step " << step;
+      std::vector<bool> out;
+      engine.SubmitCoalesced(std::span(requests.data(), 4), &out);
+      EXPECT_EQ(out, expected) << "coalesced diverged at step " << step;
     } else {
       const auto& query = pool[rng.Below(pool.size())];
-      EXPECT_EQ(ebr.Submit(principal, query), locked.Submit(principal, query))
+      const bool expected = decide(principal, query);
+      EXPECT_EQ(engine.Submit(name_of(principal), query), expected)
           << "submit diverged at step " << step;
     }
   }
 
   for (int p = 0; p < kPrincipals; ++p) {
-    EXPECT_EQ(ebr.ConsistentPartitions(name_of(p)),
-              locked.ConsistentPartitions(name_of(p)));
+    EXPECT_EQ(engine.ConsistentPartitions(name_of(p)),
+              live_states[p].consistent)
+        << "principal " << p;
   }
-  const auto ebr_stats = ebr.Stats();
-  const auto locked_stats = locked.Stats();
-  EXPECT_EQ(ebr_stats.epoch, locked_stats.epoch);
-  EXPECT_EQ(ebr_stats.submitted, locked_stats.submitted);
-  EXPECT_EQ(ebr_stats.accepted, locked_stats.accepted);
-  EXPECT_EQ(ebr_stats.refused, locked_stats.refused);
-  EXPECT_EQ(ebr_stats.shadow.evaluated, locked_stats.shadow.evaluated);
-  EXPECT_EQ(ebr_stats.shadow.agree, locked_stats.shadow.agree);
-  EXPECT_EQ(ebr_stats.shadow.shadow_stricter,
-            locked_stats.shadow.shadow_stricter);
-  EXPECT_EQ(ebr_stats.shadow.shadow_looser, locked_stats.shadow.shadow_looser);
-  // The differential is only meaningful if the EBR engine actually served
+  const auto stats = engine.Stats();
+  EXPECT_EQ(stats.epoch, live_epoch);
+  EXPECT_EQ(stats.accepted, accepted);
+  EXPECT_EQ(stats.refused, refused);
+  EXPECT_EQ(stats.shadow.agree, agree);
+  EXPECT_EQ(stats.shadow.shadow_stricter, stricter);
+  EXPECT_EQ(stats.shadow.shadow_looser, looser);
+  // Both policies and the shadow actually decided something both ways.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(agree + stricter + looser, 0u);
+  // The differential is only meaningful if the engine actually served
   // from the lock-free chunk tier.
-  EXPECT_GT(ebr_stats.labeler.overlay_chunk_hits, 0u);
+  EXPECT_GT(stats.labeler.overlay_chunk_hits, 0u);
 }
 
-// The acceptance property of the whole refactor: with FDC_EPOCH=ebr (forced
-// explicitly here so the test is env-independent), warm-path Submit /
+// The acceptance property of the wait-free read path: warm-path Submit /
 // SubmitBatch / SubmitCoalesced perform ZERO reader-side mutex or
 // shared_mutex acquisitions — measured by the thread-local
 // locks::ReaderLockAcquisitions() counter that every counted lock in the
-// read path reports into. The locked oracle engine runs the identical
-// sequence as a sanity check that the counter actually counts.
+// read path reports into. A control-plane Snapshot() call, which takes the
+// snapshot lock's shared side, must then move the same counter, so the
+// zero is not vacuous.
 TEST(EngineConcurrencyTest, WarmPathTakesZeroReaderLocksUnderEbr) {
   FbFixture fb;
   policy::SecurityPolicy policy =
@@ -576,35 +605,25 @@ TEST(EngineConcurrencyTest, WarmPathTakesZeroReaderLocksUnderEbr) {
                            &decisions);
   };
 
-  // EBR leg: with overlay_min_publish=1 every novel label publishes a
-  // fresh chunk, so after one warm pass the entire pool is chunk-resident
-  // and the measured pass is pure lock-free tier for labeling AND an
-  // epoch-pinned raw-pointer load for the snapshot.
-  EngineOptions ebr_options;
-  ebr_options.reclaim = epoch::ReclaimChoice::kEbr;
-  ebr_options.labeler.overlay_min_publish = 1;
-  DisclosureEngine ebr(/*db=*/nullptr, &fb.catalog, policy, ebr_options);
-  run_warm_traffic(ebr);  // warm-up pass (takes writer locks: uncounted)
-  const uint64_t ebr_before = locks::ReaderLockAcquisitions();
-  run_warm_traffic(ebr);
-  const uint64_t ebr_delta = locks::ReaderLockAcquisitions() - ebr_before;
-  EXPECT_EQ(ebr_delta, 0u)
-      << "EBR warm path took reader-side lock acquisitions";
-  EXPECT_EQ(ebr.Stats().labeler.overlay_reader_locks, 0u);
-  EXPECT_GT(ebr.Stats().labeler.overlay_chunk_hits, 0u);
+  // With overlay_min_publish=1 every novel label publishes a fresh chunk,
+  // so after one warm pass the entire pool is chunk-resident and the
+  // measured pass is pure lock-free tier for labeling AND an epoch-pinned
+  // raw-pointer load for the snapshot.
+  EngineOptions options;
+  options.labeler.overlay_min_publish = 1;
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy, options);
+  run_warm_traffic(engine);  // warm-up pass (takes writer locks: uncounted)
+  const uint64_t before = locks::ReaderLockAcquisitions();
+  run_warm_traffic(engine);
+  const uint64_t after = locks::ReaderLockAcquisitions();
+  EXPECT_EQ(after - before, 0u)
+      << "warm path took reader-side lock acquisitions";
+  EXPECT_GT(engine.Stats().labeler.overlay_chunk_hits, 0u);
 
-  // Locked oracle leg: the identical sequence must report reader locks,
-  // proving the counter is live (i.e. the EBR zero is not vacuous).
-  EngineOptions locked_options;
-  locked_options.reclaim = epoch::ReclaimChoice::kLocked;
-  DisclosureEngine locked(/*db=*/nullptr, &fb.catalog, policy, locked_options);
-  run_warm_traffic(locked);
-  const uint64_t locked_before = locks::ReaderLockAcquisitions();
-  run_warm_traffic(locked);
-  const uint64_t locked_delta = locks::ReaderLockAcquisitions() - locked_before;
-  EXPECT_GT(locked_delta, 0u)
-      << "counter dead: locked warm path reported zero reader locks";
-  EXPECT_GT(locked.Stats().labeler.overlay_reader_locks, 0u);
+  // Liveness: the control-plane snapshot read is a counted shared lock.
+  EXPECT_NE(engine.Snapshot(), nullptr);
+  EXPECT_GE(locks::ReaderLockAcquisitions() - after, 1u)
+      << "counter dead: Snapshot() reported no reader lock";
 }
 
 }  // namespace

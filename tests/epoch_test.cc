@@ -34,15 +34,6 @@ struct Canary {
   }
 };
 
-TEST(EpochTest, ResolveHonorsExplicitChoice) {
-  EXPECT_EQ(Resolve(ReclaimChoice::kLocked), ReclaimMode::kLocked);
-  EXPECT_EQ(Resolve(ReclaimChoice::kEbr), ReclaimMode::kEbr);
-  // kAuto defers to FDC_EPOCH; either answer is valid, but it must be the
-  // process-wide default and stable across calls.
-  EXPECT_EQ(Resolve(ReclaimChoice::kAuto), DefaultReclaimMode());
-  EXPECT_EQ(DefaultReclaimMode(), DefaultReclaimMode());
-}
-
 TEST(EpochTest, RetireWithoutReadersFreesOnDrain) {
   Domain& domain = Domain::Instance();
   std::atomic<bool> freed{false};
@@ -180,6 +171,53 @@ TEST(EpochTest, MultiWriterStressDrainsToZeroPending) {
   const DomainStats stats = domain.Stats();
   EXPECT_EQ(stats.pending, 0u);
   EXPECT_EQ(stats.retired, stats.freed);
+}
+
+// Stats() under concurrent retire/free traffic: freed can never be read as
+// larger than retired, so pending never wraps to ~2^64. Several writers
+// retire (and so collect, freeing each other's garbage between the
+// poller's two counter loads) while a poller snapshots continuously.
+TEST(EpochTest, StatsPendingNeverExceedsRetiredUnderRace) {
+  Domain& domain = Domain::Instance();
+  domain.DrainForTesting();
+  constexpr int kWriters = 3;
+  constexpr int kRetiresPerWriter = 20000;
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> polls{0};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> worst{0};
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const DomainStats stats = domain.Stats();
+      if (stats.pending > stats.retired) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+        worst.store(stats.pending, std::memory_order_relaxed);
+      }
+      polls.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kRetiresPerWriter; ++i) {
+        domain.RetireDelete(new Canary());
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  // The poller started first and ran alongside the writers; a minimum poll
+  // count keeps the check from passing on a poller that never ran.
+  while (polls.load(std::memory_order_relaxed) < 1000) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  poller.join();
+  domain.DrainForTesting();
+
+  EXPECT_EQ(bad.load(), 0u) << "pending read " << worst.load()
+                            << ", above the retired count";
+  EXPECT_EQ(domain.Stats().pending, 0u);
 }
 
 }  // namespace

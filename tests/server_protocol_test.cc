@@ -310,7 +310,7 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   EXPECT_TRUE(JsonValidator(json).Validate()) << json;
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
-        "\"interner\"", "\"containment_cache\"", "\"simd_isa\"",
+        "\"interner\"", "\"containment_cache\"", "\"ebr\"",
         "\"shadow\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }

@@ -203,9 +203,10 @@ ConjunctiveQuery RandomQuery(Rng* rng, const std::vector<int>& arities) {
 }
 
 // The packed-capacity and word-width boundaries, pinned explicitly: today's
-// packed edge (31/32/33), the word edge (63/64/65), and a deep two-word
-// catalog (128). The low counts keep the packed regression honest.
-const int kBoundaryViewCounts[] = {1, 5, 31, 32, 33, 63, 64, 65, 128};
+// packed edge (31/32/33), the word edge (63/64/65), a deep two-word
+// catalog (128), and the first three-word one (129) for the W-word kernel.
+// The low counts keep the packed regression honest.
+const int kBoundaryViewCounts[] = {1, 5, 31, 32, 33, 63, 64, 65, 128, 129};
 
 TEST(WideMatcherPropertyTest, MatchesSeedOracleAcrossViewCountBoundaries) {
   Rng rng(0x71de'0001);
