@@ -389,7 +389,6 @@ DisclosureEngine::EngineStats DisclosureEngine::Stats() const {
   stats.submitted = stats.accepted + stats.refused;
   stats.labeler = labeler_.stats();
   stats.interner = labeler_.interner_stats();
-  stats.containment = labeler_.cache_stats();
   stats.fold_scratch_reuses = rewriting::FoldScratchReuses();
   stats.ebr = epoch::Domain::Instance().Stats();
   {

@@ -26,8 +26,12 @@
 //
 // Oracle: the seed single-threaded path is kept intact behind
 // GuardedDatabase's use_engine=false mode and LabelingPipeline +
-// ReferenceMonitor, and the engine is differential-tested against it
-// (tests/engine_equivalence_test.cc, tests/engine_concurrency_test.cc);
+// ReferenceMonitor, and the engine's decisions are differential-tested
+// against it (tests/engine_equivalence_test.cc,
+// tests/engine_concurrency_test.cc). The engine and LabelingPipeline
+// compute labels through one kernel (label::LabelQueriesBatched), so the
+// engine's labels are checked against the independent per-view oracle,
+// LabelerPipeline::LabelWide (tests/wide_matcher_property_test.cc);
 // bench/fig_engine_scaling.cc sweeps 1→N threads against this facade.
 #pragma once
 
@@ -224,8 +228,7 @@ class DisclosureEngine {
     uint64_t accepted = 0;
     uint64_t refused = 0;
     ConcurrentLabeler::Stats labeler;
-    cq::QueryInterner::Stats interner;          // dynamic overlay interner
-    rewriting::ContainmentCache::Stats containment;  // sharded cache, summed
+    cq::QueryInterner::Stats interner;  // dynamic overlay interner
     /// Folding's atom-drop hom searches served by a warm thread-local
     /// scratch arena. Process-wide (rewriting::FoldScratchReuses), not
     /// per-engine: it counts every consumer in the process.

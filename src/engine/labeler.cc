@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "cq/canonical.h"
-#include "label/dissect.h"
+#include "label/batch_label.h"
 
 namespace fdc::engine {
 
@@ -93,14 +93,7 @@ struct ConcurrentLabeler::OverlayChunk {
 
 ConcurrentLabeler::ConcurrentLabeler(
     std::shared_ptr<const FrozenCatalog> frozen, Options options)
-    : frozen_(std::move(frozen)),
-      options_(options),
-      stateless_(&frozen_->catalog(), frozen_->dissect_options()) {
-  if (options_.ablate_compiled_matcher) {
-    cache_ = std::make_unique<rewriting::ContainmentCache>(
-        options_.containment_cache_capacity);
-  }
-}
+    : frozen_(std::move(frozen)), options_(options) {}
 
 ConcurrentLabeler::~ConcurrentLabeler() {
   // Destruction implies no concurrent Label calls on *this*, but a chunk
@@ -151,151 +144,31 @@ void ConcurrentLabeler::PublishOverlayChunk() {
   PublishChunkLocked();
 }
 
-label::DisclosureLabel ConcurrentLabeler::LabelCompiled(
-    const cq::ConjunctiveQuery& query) {
-  // One matcher evaluation per atom against the frozen artifact — no
-  // pattern interning, no mask memo, no cache probes, no locks. Relations
-  // beyond the packed view capacity get exact multi-word wide atoms.
-  label::DisclosureLabel label;
-  const label::CompiledCatalogMatcher& matcher = frozen_->matcher();
-  for (const cq::AtomPattern& atom :
-       label::Dissect(query, frozen_->dissect_options())) {
-    compiled_mask_evals_.fetch_add(1, std::memory_order_relaxed);
-    per_view_tests_avoided_.fetch_add(
-        static_cast<uint64_t>(matcher.AvoidedPerViewTests(atom.relation)),
-        std::memory_order_relaxed);
-    if (matcher.UsesWideMask(atom.relation)) {
-      wide_mask_evals_.fetch_add(1, std::memory_order_relaxed);
-      label::WideAtomLabel wide;
-      matcher.MatchWideAtom(atom, &wide);
-      label.AddWide(std::move(wide));
-    } else {
-      label.Add(matcher.MatchLabel(atom));
-    }
-  }
-  label.Seal();
-  return label;
-}
+namespace {
 
-label::DisclosureLabel ConcurrentLabeler::ComputeLabelLocked(
-    const cq::ConjunctiveQuery& canonical) {
-  label::DisclosureLabel label;
-  for (const cq::AtomPattern& atom :
-       label::Dissect(canonical, frozen_->dissect_options())) {
-    const int pattern_id = interner_.InternPattern(atom);
-    auto it = mask_by_pattern_.find(pattern_id);
-    if (it == mask_by_pattern_.end()) {
-      // Same kernel as LabelingPipeline::MaskFor — decision identity with
-      // the seed path depends on sharing it, not re-implementing it.
-      it = mask_by_pattern_
-               .emplace(pattern_id,
-                        label::ComputePatternMask(frozen_->catalog(),
-                                                  interner_, *cache_,
-                                                  pattern_id, atom))
-               .first;
-    }
-    label.Add(it->second);
-  }
-  label.Seal();
-  return label;
-}
+// The walk's working state, kept per thread so a warm walk that resolves
+// in the frozen tier or the chunk allocates nothing.
+struct WalkScratch {
+  std::vector<size_t> unresolved;  // query indices no tier has answered yet
+  std::vector<int32_t> slot_of;    // kernel slot per unresolved query
+  std::vector<int> slot_id;        // interned id per slot, -1 = stateless
+  std::vector<const cq::ConjunctiveQuery*> slot_query;
+  std::vector<label::DisclosureLabel> computed;  // kernel output per slot
+  label::BatchLabelScratch kernel;
+};
+
+}  // namespace
 
 label::DisclosureLabel ConcurrentLabeler::Label(
     const cq::ConjunctiveQuery& query) {
-  // Tier 1: frozen warmup table, no locks.
-  if (const label::DisclosureLabel* hit = frozen_->FindLabel(query)) {
-    frozen_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
-  }
-
-  // Tier 2a: probe the published chunk under an epoch guard (no lock, no
-  // shared state mutation).
-  {
-    epoch::Guard guard;
-    if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
-      if (const label::DisclosureLabel* hit =
-              chunk->FindRaw(cq::QueryInterner::RawHash(query), query)) {
-        overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return *hit;
-      }
-      const std::string key = cq::CanonicalKey(query);
-      if (const label::DisclosureLabel* hit =
-              chunk->FindCanonical(OverlayChunk::KeyHash(key), key)) {
-        overlay_chunk_hits_.fetch_add(1, std::memory_order_relaxed);
-        overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        return *hit;
-      }
-    }
-  }
-
-  // Tier 2b: label, intern, memoize. On the compiled path the label is
-  // computed *before* the writer lock — LabelCompiled only reads frozen
-  // state, so N threads labeling distinct novel structures (Dissect,
-  // folding's hom searches, the net evaluations) proceed in parallel and
-  // the exclusive section shrinks to TryIntern + one memo insert. Labels
-  // are pure functions of the structure, so a racing duplicate compute
-  // stores the identical value. The ablated seed kernel mutates overlay
-  // state (pattern interner + mask memo) and must stay fully locked.
-  if (!options_.ablate_compiled_matcher) {
-    label::DisclosureLabel label = LabelCompiled(query);
-    std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-    const cq::InternedQuery* interned =
-        interner_.TryIntern(query, options_.max_interned_queries);
-    if (interned == nullptr) {
-      // Tier 3: overlay saturated; the label is already stateless.
-      lock.unlock();
-      stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      return label;
-    }
-    auto it = label_by_query_.find(interned->id());
-    if (it != label_by_query_.end()) {
-      overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-      // A memoized entry the chunk doesn't cover yet — publish pressure,
-      // so repeated traffic re-freezes the chunk promptly.
-      NotePublishPressureLocked();
-      return it->second;
-    }
-    overlay_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (label_by_query_.size() >= options_.max_label_cache) {
-      label_by_query_.clear();
-    }
-    label_by_query_.emplace(interned->id(), label);
-    NotePublishPressureLocked();
-    return label;
-  }
-
-  // Ablated (seed-kernel) path: exclusive intern + label. Double-check
-  // under the writer lock: another thread may have labeled the same
-  // structure since we unlocked.
-  std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-  const cq::InternedQuery* interned =
-      interner_.TryIntern(query, options_.max_interned_queries);
-  if (interned == nullptr) {
-    // Tier 3: overlay saturated; pure stateless compute, no shared state.
-    lock.unlock();
-    stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    return stateless_.LabelPacked(query);
-  }
-  auto it = label_by_query_.find(interned->id());
-  if (it != label_by_query_.end()) {
-    overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-    NotePublishPressureLocked();
-    return it->second;
-  }
-  overlay_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (label_by_query_.size() >= options_.max_label_cache) {
-    label_by_query_.clear();
-  }
-  label::DisclosureLabel label = ComputeLabelLocked(interned->query());
-  label_by_query_.emplace(interned->id(), label);
-  NotePublishPressureLocked();
+  label::DisclosureLabel label;
+  const cq::ConjunctiveQuery* one = &query;
+  LabelInto(std::span<const cq::ConjunctiveQuery* const>(&one, 1), &label);
   return label;
 }
 
 std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
     std::span<const cq::ConjunctiveQuery> queries) {
-  // Forward to the pointer-span core (the serving front end's shape).
   std::vector<const cq::ConjunctiveQuery*> ptrs;
   ptrs.reserve(queries.size());
   for (const cq::ConjunctiveQuery& query : queries) ptrs.push_back(&query);
@@ -304,21 +177,19 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
 
 std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
     std::span<const cq::ConjunctiveQuery* const> queries) {
-  if (options_.ablate_compiled_matcher || options_.ablate_batch_kernel) {
-    // Ablations: the seed kernel mutates overlay state per query, and the
-    // batch ablation deliberately restores the pre-batch shape.
-    std::vector<label::DisclosureLabel> out;
-    out.reserve(queries.size());
-    for (const cq::ConjunctiveQuery* query : queries) {
-      out.push_back(Label(*query));
-    }
-    return out;
-  }
-
   std::vector<label::DisclosureLabel> out(queries.size());
+  LabelInto(queries, out.data());
+  return out;
+}
+
+void ConcurrentLabeler::LabelInto(
+    std::span<const cq::ConjunctiveQuery* const> queries,
+    label::DisclosureLabel* out) {
+  thread_local WalkScratch scratch;
+  std::vector<size_t>& unresolved = scratch.unresolved;
+  unresolved.clear();
 
   // Tier 1: frozen warmup table, no locks.
-  std::vector<size_t> unresolved;
   for (size_t k = 0; k < queries.size(); ++k) {
     if (const label::DisclosureLabel* hit = frozen_->FindLabel(*queries[k])) {
       frozen_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -327,10 +198,11 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
       unresolved.push_back(k);
     }
   }
-  if (unresolved.empty()) return out;
+  if (unresolved.empty()) return;
 
-  // Tier 2a: probe the published chunk for every miss under one epoch guard
-  // (no lock).
+  // Tier 2: probe the published chunk for every miss under one epoch guard
+  // (no lock, no shared state mutation). Byte-identical resubmissions hit
+  // the raw table without paying canonicalization.
   {
     epoch::Guard guard;
     if (const OverlayChunk* chunk = chunk_.load(std::memory_order_acquire)) {
@@ -354,96 +226,91 @@ std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
       unresolved.resize(kept);
     }
   }
-  if (unresolved.empty()) return out;
+  if (unresolved.empty()) return;
 
-  // Writer pass 1: intern the misses and dedupe the batch's novel
-  // structures (racing threads may have labeled some since the chunk
-  // probe — those resolve here). Saturated-interner queries get compute
-  // slots too; they are just never memoized.
+  // Tier 3, writer pass 1: intern the misses, answer memoized entries the
+  // chunk does not cover yet (racing threads may have labeled some since
+  // the chunk probe), and dedupe the novel structures into kernel slots.
+  // Saturated-interner queries get slots too; they are never memoized.
   constexpr int32_t kResolved = -1;
-  std::vector<int32_t> slot_of(unresolved.size(), kResolved);
-  std::vector<int> slot_id;  // interned id per slot, -1 = stateless
-  std::vector<const cq::ConjunctiveQuery*> slot_query;
-  std::unordered_map<int, int32_t> first_slot;
+  scratch.slot_of.assign(unresolved.size(), kResolved);
+  scratch.slot_id.clear();
+  scratch.slot_query.clear();
+  // Local, not scratch: clearing a map a large batch once grew would cost
+  // every later walk a sweep of its bucket array.
+  std::unordered_map<int, int32_t> first_slot;  // interned id -> slot
   {
     std::unique_lock<locks::CountedSharedMutex> lock(mu_);
     for (size_t u = 0; u < unresolved.size(); ++u) {
       const size_t k = unresolved[u];
+      const int32_t next = static_cast<int32_t>(scratch.slot_id.size());
       const cq::InternedQuery* interned =
           interner_.TryIntern(*queries[k], options_.max_interned_queries);
       if (interned == nullptr) {
         stateless_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        slot_of[u] = static_cast<int32_t>(slot_id.size());
-        slot_id.push_back(-1);
-        slot_query.push_back(queries[k]);
+        scratch.slot_of[u] = next;
+        scratch.slot_id.push_back(-1);
+        scratch.slot_query.push_back(queries[k]);
         continue;
       }
       const int id = interned->id();
       auto it = label_by_query_.find(id);
       if (it != label_by_query_.end()) {
         overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        // Memoized but not yet chunk-visible: publish pressure.
+        // Memoized but not yet chunk-visible: publish pressure, so
+        // repeated traffic re-freezes the chunk promptly.
         NotePublishPressureLocked();
         out[k] = it->second;
         continue;
       }
-      auto fit = first_slot.find(id);
-      if (fit != first_slot.end()) {
+      const auto [slot, fresh] = first_slot.emplace(id, next);
+      if (fresh) {
+        scratch.slot_id.push_back(id);
+        scratch.slot_query.push_back(queries[k]);
+      } else {
+        // Batch-internal duplicate structure.
         overlay_hits_.fetch_add(1, std::memory_order_relaxed);
-        slot_of[u] = fit->second;  // batch-internal duplicate structure
-        continue;
       }
-      const int32_t slot = static_cast<int32_t>(slot_id.size());
-      first_slot.emplace(id, slot);
-      slot_of[u] = slot;
-      slot_id.push_back(id);
-      slot_query.push_back(queries[k]);
+      scratch.slot_of[u] = slot->second;
+    }
+  }
+  if (scratch.slot_query.empty()) return;
+
+  // Tier 4: the batch kernel with no lock held — Dissect + one
+  // MatchMaskBatch per relation over every slot at once. Labels are pure
+  // functions of the query, so N threads labeling distinct novel structures
+  // proceed in parallel and a racing duplicate computes the same value.
+  label::BatchLabelCounters counters;
+  label::LabelQueriesBatched(
+      frozen_->matcher(), frozen_->dissect_options(),
+      std::span<const cq::ConjunctiveQuery* const>(scratch.slot_query),
+      &scratch.kernel, &scratch.computed, &counters);
+  compiled_mask_evals_.fetch_add(counters.batch_mask_evals,
+                                 std::memory_order_relaxed);
+  wide_mask_evals_.fetch_add(counters.wide_mask_evals,
+                             std::memory_order_relaxed);
+  per_view_tests_avoided_.fetch_add(counters.per_view_tests_avoided,
+                                    std::memory_order_relaxed);
+  for (size_t u = 0; u < unresolved.size(); ++u) {
+    if (scratch.slot_of[u] != kResolved) {
+      out[unresolved[u]] =
+          scratch.computed[static_cast<size_t>(scratch.slot_of[u])];
     }
   }
 
-  // Heavy compute with no lock held: Dissect + the per-relation
-  // MatchMaskBatch buckets over every distinct novel structure at once.
-  // Labels are pure functions of the (raw) query — exactly what the
-  // per-query compiled path evaluates — so per-thread scratch suffices.
-  if (!slot_query.empty()) {
-    thread_local label::BatchLabelScratch scratch;
-    std::vector<label::DisclosureLabel> computed;
-    label::BatchLabelCounters counters;
-    label::LabelQueriesBatched(
-        frozen_->matcher(), frozen_->dissect_options(),
-        std::span<const cq::ConjunctiveQuery* const>(slot_query), &scratch,
-        &computed, &counters);
-    compiled_mask_evals_.fetch_add(counters.batch_mask_evals,
-                                   std::memory_order_relaxed);
-    batch_mask_evals_.fetch_add(counters.batch_mask_evals,
-                                std::memory_order_relaxed);
-    wide_mask_evals_.fetch_add(counters.wide_mask_evals,
-                               std::memory_order_relaxed);
-    per_view_tests_avoided_.fetch_add(counters.per_view_tests_avoided,
-                                      std::memory_order_relaxed);
-
-    // Writer pass 2: memoize the genuinely novel structures. A racing
-    // duplicate insert loses harmlessly — labels of one structure are
-    // identical by purity.
-    {
-      std::unique_lock<locks::CountedSharedMutex> lock(mu_);
-      for (size_t s = 0; s < slot_id.size(); ++s) {
-        if (slot_id[s] < 0) continue;  // stateless: never memoized
-        overlay_misses_.fetch_add(1, std::memory_order_relaxed);
-        if (label_by_query_.size() >= options_.max_label_cache) {
-          label_by_query_.clear();
-        }
-        label_by_query_.emplace(slot_id[s], computed[s]);
-        NotePublishPressureLocked();
-      }
+  // Writer pass 2: memoize the interned structures. A racing duplicate
+  // insert loses harmlessly — labels of one structure are identical.
+  std::unique_lock<locks::CountedSharedMutex> lock(mu_);
+  for (size_t s = 0; s < scratch.slot_id.size(); ++s) {
+    if (scratch.slot_id[s] < 0) continue;  // stateless: never memoized
+    overlay_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (label_by_query_.size() >= options_.max_label_cache) {
+      label_by_query_.clear();
     }
-    for (size_t u = 0; u < unresolved.size(); ++u) {
-      if (slot_of[u] != kResolved) {
-        out[unresolved[u]] = computed[static_cast<size_t>(slot_of[u])];
-      }
-    }
+    label_by_query_.emplace(scratch.slot_id[s],
+                            std::move(scratch.computed[s]));
+    NotePublishPressureLocked();
   }
-  return out;
 }
 
 ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
@@ -456,7 +323,7 @@ ConcurrentLabeler::Stats ConcurrentLabeler::stats() const {
   stats.compiled_mask_evals =
       compiled_mask_evals_.load(std::memory_order_relaxed);
   stats.wide_mask_evals = wide_mask_evals_.load(std::memory_order_relaxed);
-  stats.batch_mask_evals = batch_mask_evals_.load(std::memory_order_relaxed);
+  stats.batch_mask_evals = stats.compiled_mask_evals;
   stats.per_view_tests_avoided =
       per_view_tests_avoided_.load(std::memory_order_relaxed);
   stats.overlay_chunk_hits =

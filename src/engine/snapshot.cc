@@ -1,6 +1,6 @@
 #include "engine/snapshot.h"
 
-#include "label/pipeline.h"
+#include "label/batch_label.h"
 #include "rewriting/atom_rewriting.h"
 
 namespace fdc::engine {
@@ -14,35 +14,31 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
   frozen->dissect_options_ = dissect_options;
   frozen->matcher_ = label::CompiledCatalogMatcher::Compile(*catalog);
 
-  // Label the views' own defining queries and the warmup workload through
-  // one LabelingPipeline sharing the frozen interner (so warmup query ids
-  // land in the id space FindLabel probes) and the compiled matcher (so
-  // build-time labels come from the exact artifact the serving tiers
-  // evaluate).
-  label::LabelingPipeline pipeline(catalog, &frozen->interner_,
-                                   /*cache=*/nullptr, dissect_options,
-                                   /*options=*/{}, &frozen->matcher_);
-  // Freeze-time labeling runs batched: the views' defining queries and the
-  // warmup pool each go through LabelBatch, whose per-relation buckets feed
-  // the batch-structured mask kernel — the whole table is labeled in a
-  // handful of MatchMaskBatch calls instead of one net pass per atom.
+  // Intern the views' defining queries and the warmup pool into the frozen
+  // interner once (so their ids land in the id space FindLabel probes),
+  // then label every distinct structure in one batch-kernel call — the
+  // kernel the serving tiers run, over the matcher they evaluate.
   const int n = catalog->size();
-  frozen->view_labels_.reserve(n);
-  std::vector<cq::ConjunctiveQuery> view_queries;
-  view_queries.reserve(n);
+  frozen->view_query_ids_.reserve(static_cast<size_t>(n));
   for (int v = 0; v < n; ++v) {
-    view_queries.push_back(catalog->view(v).pattern.ToQuery("V"));
+    frozen->view_query_ids_.push_back(
+        frozen->interner_.Intern(catalog->view(v).pattern.ToQuery("V")).id());
   }
-  std::vector<label::DisclosureLabel> view_labels =
-      pipeline.LabelBatch(view_queries);
-  for (int v = 0; v < n; ++v) {
-    const cq::InternedQuery& interned =
-        frozen->interner_.Intern(view_queries[static_cast<size_t>(v)]);
-    frozen->label_by_query_.emplace(interned.id(),
-                                    view_labels[static_cast<size_t>(v)]);
-    frozen->view_labels_.push_back(
-        std::move(view_labels[static_cast<size_t>(v)]));
+  for (const cq::ConjunctiveQuery& query : warmup) {
+    frozen->interner_.Intern(query);
   }
+  const int distinct = frozen->interner_.num_queries();
+  std::vector<const cq::ConjunctiveQuery*> structures;
+  structures.reserve(static_cast<size_t>(distinct));
+  for (int id = 0; id < distinct; ++id) {
+    structures.push_back(&frozen->interner_.query(id).query());
+  }
+  label::BatchLabelScratch scratch;
+  label::BatchLabelCounters counters;
+  label::LabelQueriesBatched(
+      frozen->matcher_, dissect_options,
+      std::span<const cq::ConjunctiveQuery* const>(structures), &scratch,
+      &frozen->labels_, &counters);
 
   // Rewriting-order closure over catalog views: one bit per ordered pair.
   // O(n²) AtomRewritable calls at build time — fine for real catalogs
@@ -63,18 +59,6 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
     }
   }
 
-  // Frozen warmup tier: the whole pool labeled in one batch (LabelBatch
-  // computes each distinct structure once; duplicates are memo probes).
-  std::vector<label::DisclosureLabel> warmup_labels =
-      pipeline.LabelBatch(warmup);
-  for (size_t i = 0; i < warmup.size(); ++i) {
-    const cq::InternedQuery& interned = frozen->interner_.Intern(warmup[i]);
-    auto it = frozen->label_by_query_.find(interned.id());
-    if (it == frozen->label_by_query_.end()) {
-      frozen->label_by_query_.emplace(interned.id(),
-                                      std::move(warmup_labels[i]));
-    }
-  }
   return frozen;
 }
 
@@ -82,9 +66,7 @@ const label::DisclosureLabel* FrozenCatalog::FindLabel(
     const cq::ConjunctiveQuery& query) const {
   const cq::InternedQuery* interned = interner_.Find(query);
   if (interned == nullptr) return nullptr;
-  auto it = label_by_query_.find(interned->id());
-  if (it == label_by_query_.end()) return nullptr;
-  return &it->second;
+  return &labels_[static_cast<size_t>(interned->id())];
 }
 
 }  // namespace fdc::engine

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cq/interned.h"
@@ -44,11 +43,12 @@ namespace fdc::engine {
 class FrozenCatalog {
  public:
   /// Builds the frozen tier: compiles the catalog's matcher automaton
-  /// (label::CompiledCatalogMatcher), interns every catalog view pattern,
-  /// labels each view's defining query, closes the single-atom rewriting
-  /// order over the catalog, and pre-labels `warmup` queries into the
-  /// frozen label table. Single-threaded; the result is immutable and every
-  /// const method below is safe from any number of threads without locks.
+  /// (label::CompiledCatalogMatcher), interns each view's defining query and
+  /// every `warmup` query into the frozen interner, labels each distinct
+  /// structure in one label::LabelQueriesBatched call, and closes the
+  /// single-atom rewriting order over the catalog. Single-threaded; the
+  /// result is immutable and every const method below is safe from any
+  /// number of threads without locks.
   static std::shared_ptr<const FrozenCatalog> Build(
       const label::ViewCatalog* catalog,
       std::span<const cq::ConjunctiveQuery> warmup = {},
@@ -60,11 +60,10 @@ class FrozenCatalog {
   }
 
   /// The catalog's compiled matcher automaton — the frozen tier owns the
-  /// compiled artifact; every labeling consumer (overlay, stateless
-  /// fallback, pipelines built over this catalog) evaluates this one
-  /// instance lock-free. Mask width is per-relation (multi-word beyond 64
-  /// views; wide label atoms beyond the packed 32-view capacity), fixed
-  /// when this catalog froze.
+  /// compiled artifact, and the engine's labeler evaluates this one
+  /// instance lock-free for every label it computes. Mask width is
+  /// per-relation (multi-word beyond 64 views; wide label atoms beyond the
+  /// packed 32-view capacity), fixed when this catalog froze.
   const label::CompiledCatalogMatcher& matcher() const { return matcher_; }
 
   /// Largest per-relation mask word count in the compiled matcher: 1 for
@@ -73,7 +72,7 @@ class FrozenCatalog {
 
   /// Disclosure label of view `id`'s own defining query.
   const label::DisclosureLabel& ViewLabel(int id) const {
-    return view_labels_[id];
+    return labels_[static_cast<size_t>(view_query_ids_[id])];
   }
 
   /// Rewriting-order closure bit: {view v} ⪯ {view w} (single-atom
@@ -91,7 +90,7 @@ class FrozenCatalog {
       const cq::ConjunctiveQuery& query) const;
 
   int num_views() const { return catalog_->size(); }
-  size_t num_frozen_labels() const { return label_by_query_.size(); }
+  size_t num_frozen_labels() const { return labels_.size(); }
 
  private:
   FrozenCatalog() = default;
@@ -100,8 +99,8 @@ class FrozenCatalog {
   label::DissectOptions dissect_options_;
   label::CompiledCatalogMatcher matcher_;  // frozen after Build
   cq::QueryInterner interner_;  // frozen after Build; const reads only
-  std::unordered_map<int, label::DisclosureLabel> label_by_query_;
-  std::vector<label::DisclosureLabel> view_labels_;
+  std::vector<label::DisclosureLabel> labels_;  // by frozen interned id
+  std::vector<int> view_query_ids_;  // interned id of each view's query
   std::vector<uint64_t> closure_;  // row-major bitset, stride in words
   size_t closure_stride_ = 0;
 };

@@ -210,14 +210,6 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("pattern_misses", stats.interner.pattern_misses);
   w.EndObject();
 
-  w.BeginObject("containment_cache");
-  w.Field("hits", stats.containment.hits);
-  w.Field("misses", stats.containment.misses);
-  w.Field("insertions", stats.containment.insertions);
-  w.Field("evictions", stats.containment.evictions);
-  w.Field("hom_scratch_reuses", stats.containment.hom_scratch_reuses);
-  w.EndObject();
-
   w.Field("fold_scratch_reuses", stats.fold_scratch_reuses);
 
   w.BeginObject("ebr");

@@ -18,8 +18,6 @@
 //      "overlay_chunk_publishes": ..., "overlay_chunk_entries": ...},
 //    "interner": {"query_hits": ..., "query_misses": ..., "raw_hits": ...,
 //      "pattern_hits": ..., "pattern_misses": ...},
-//    "containment_cache": {"hits": ..., "misses": ..., "insertions": ...,
-//      "evictions": ..., "hom_scratch_reuses": ...},
 //    "fold_scratch_reuses": ...,
 //    "ebr": {"epoch": ..., "retired": ..., "freed": ..., "pending": ...,
 //      "advances": ...},

@@ -181,7 +181,7 @@ CompiledCatalogMatcher CompiledCatalogMatcher::Compile(
     matcher.max_words_ = std::max(matcher.max_words_, net.words);
     net.arity = catalog.view(view_ids.front()).pattern.arity();
     if (net.arity > kMaxCompiledArity) {
-      // Pathological arity: MatchMask* runs the per-view loop instead. The
+      // Pathological arity: the kernels run the per-view loop instead. The
       // net stays empty but the relation is still answered correctly.
       net.use_fallback = true;
       continue;
@@ -492,37 +492,6 @@ void CompiledCatalogMatcher::FallbackMaskWords(int relation,
   }
 }
 
-uint32_t CompiledCatalogMatcher::MatchMask(const cq::AtomPattern& v) const {
-  const RelationNet* net = NetFor(v.relation);
-  if (net == nullptr) return 0;  // no views over this relation
-  if (net->use_fallback) {
-    // Seed per-view loop for pathological relations; packed bits only, so
-    // views beyond the packed capacity are not even tested.
-    uint32_t mask = 0;
-    for (int view_id : catalog_->ViewsOfRelation(v.relation)) {
-      const SecurityView& view = catalog_->view(view_id);
-      if (view.bit < kPackedViewCapacity &&
-          rewriting::AtomRewritable(v, view.pattern)) {
-        mask |= uint32_t{1} << view.bit;
-      }
-    }
-    return mask;
-  }
-  if (v.arity() != net->arity) return 0;  // never rewritable (arity mismatch)
-  if (net->words == 1) {
-    // The packed contract is the low 32 bits of the full mask — views with
-    // bit ≥ kPackedViewCapacity are excluded (labels strictly higher —
-    // fail-safe), mirroring the guard in label::ComputePatternMask.
-    return static_cast<uint32_t>(MatchWordNarrow(*net, v));
-  }
-  thread_local std::vector<uint64_t> scratch;
-  if (scratch.size() < static_cast<size_t>(net->words)) {
-    scratch.resize(static_cast<size_t>(net->words));
-  }
-  MatchWordsWide(*net, v, scratch.data());
-  return static_cast<uint32_t>(scratch[0]);
-}
-
 void CompiledCatalogMatcher::MatchMaskWords(const cq::AtomPattern& v,
                                             uint64_t* out) const {
   const RelationNet* net = NetFor(v.relation);
@@ -543,15 +512,6 @@ void CompiledCatalogMatcher::MatchMaskWords(const cq::AtomPattern& v,
     return;
   }
   MatchWordsWide(*net, v, out);
-}
-
-void CompiledCatalogMatcher::MatchWideAtom(const cq::AtomPattern& pattern,
-                                           WideAtomLabel* out) const {
-  out->relation = pattern.relation;
-  const size_t words = static_cast<size_t>(MaskWords(pattern.relation));
-  out->mask.resize(words);
-  MatchMaskWords(pattern, out->mask.data());
-  out->Normalize();
 }
 
 template <typename Access>

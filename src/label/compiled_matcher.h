@@ -29,9 +29,8 @@
 // case) run a specialized single-word loop with exactly the pre-wide code
 // shape. Whether a relation's ℓ+ rides in packed or wide label atoms is a
 // catalog property exposed as UsesWideMask(relation) (view count >
-// kPackedViewCapacity); MatchMask/MatchLabel keep the packed 32-bit
-// contract — the low 32 bits of the full mask, identical to the seed
-// ComputePatternMask guard — for consumers and oracles that stay packed.
+// kPackedViewCapacity); for packed relations the label keeps the low 32
+// bits of the full mask, identical to the seed ComputePatternMask guard.
 //
 // Batch kernel: MatchMaskBatch evaluates one relation's net over N
 // dissected atoms at once. Each pattern still runs the fused per-atom loop
@@ -57,18 +56,20 @@
 // more than 64 views on one hot relation. Vector (AVX2) variants of the
 // wide kernels measured no faster (0.67–1.04× at 128 views/relation).
 //
-// The per-atom MatchMaskWords stays the property-test oracle: the batch
-// kernel is bit-identical to it by construction and by the randomized
-// differential suite (tests/batch_kernel_property_test.cc).
+// Every production label runs MatchMaskBatch, through
+// label::LabelQueriesBatched (label/batch_label.h). The per-atom
+// MatchMaskWords stays the property-test oracle and the per-atom benchmark
+// series: the batch kernel is bit-identical to it by construction and by
+// the randomized differential suite (tests/batch_kernel_property_test.cc).
 //
-// MatchMask/MatchMaskWords are allocation-free, touch no interner and no
-// cache, and are pure/immutable after Compile — any number of threads may
-// evaluate concurrently (MatchMaskBatch too, given per-thread scratch).
-// Equivalence with the seed per-view loop is property-tested over the
-// packed range (tests/compiled_matcher_test.cc) and across the
-// 31/32/33/63/64/65/128 view boundaries
-// (tests/wide_matcher_property_test.cc); the seed loop is kept behind the
-// `ablate_compiled_matcher` labeling option as the oracle.
+// MatchMaskWords is allocation-free, touches no interner and no cache, and
+// is pure/immutable after Compile — any number of threads may evaluate
+// concurrently (MatchMaskBatch too, given per-thread scratch). Equivalence
+// with the seed per-view loop is property-tested over the packed range
+// (tests/compiled_matcher_test.cc) and across the 31/32/33/63/64/65/128
+// view boundaries (tests/wide_matcher_property_test.cc); the seed loop is
+// kept behind LabelingPipeline's `ablate_compiled_matcher` option as the
+// oracle.
 #pragma once
 
 #include <bit>
@@ -119,7 +120,7 @@ class CompiledCatalogMatcher {
   /// Largest pattern arity the discrimination net compiles for. Covers
   /// every real schema (the widest Facebook relation, User, has 34
   /// columns); wider relations fall back to the seed per-view loop inside
-  /// MatchMask*, so results never change.
+  /// MatchMaskWords/MatchMaskBatch, so results never change.
   static constexpr int kMaxCompiledArity = 64;
 
   CompiledCatalogMatcher() = default;
@@ -128,23 +129,6 @@ class CompiledCatalogMatcher {
   /// the matcher and must not be mutated afterwards — the matcher is a
   /// frozen artifact, rebuilt whenever the catalog is.
   static CompiledCatalogMatcher Compile(const ViewCatalog& catalog);
-
-  /// Packed ℓ+ mask of `pattern` against its relation's views: bit i set
-  /// iff AtomRewritable(pattern, i-th view of the relation) and
-  /// i < kPackedViewCapacity — i.e. the low 32 bits of the full wide mask,
-  /// matching the seed ComputePatternMask guard exactly. `pattern` must be
-  /// normalized (class ids by first occurrence), which
-  /// Dissect/AtomPattern::FromAtom guarantee. Zero allocation; lock-free.
-  uint32_t MatchMask(const cq::AtomPattern& pattern) const;
-
-  /// MatchMask wrapped in the packed per-atom label. Whole-query labeling
-  /// (Dissect + one MatchLabel per atom) lives with the consumers —
-  /// LabelingPipeline::LabelViaMatcher and ConcurrentLabeler::LabelCompiled
-  /// — which layer their own counters over this kernel.
-  PackedAtomLabel MatchLabel(const cq::AtomPattern& pattern) const {
-    return PackedAtomLabel(static_cast<uint32_t>(pattern.relation),
-                           MatchMask(pattern));
-  }
 
   /// Mask words per view-set of `relation` (ceil(view count / 64), minimum
   /// 1 — also 1 for unknown relations). The stride of every wide-mask
@@ -167,15 +151,10 @@ class CompiledCatalogMatcher {
 
   /// Full ℓ+ mask of `pattern` over *all* of its relation's views — no
   /// packed capacity, bit b of view b lives in out[b / 64]. Writes exactly
-  /// MaskWords(pattern.relation) words into `out`. Zero allocation;
-  /// lock-free; same C1–C5 evaluation as MatchMask.
+  /// MaskWords(pattern.relation) words into `out`. `pattern` must be
+  /// normalized (class ids by first occurrence), which
+  /// Dissect/AtomPattern::FromAtom guarantee. Zero allocation; lock-free.
   void MatchMaskWords(const cq::AtomPattern& pattern, uint64_t* out) const;
-
-  /// MatchMaskWords into a reusable WideAtomLabel: sets the relation, fills
-  /// the mask words, and normalizes (trims trailing zero words). Reuses
-  /// `out->mask`'s storage, so a warm caller-owned label makes this
-  /// allocation-free too.
-  void MatchWideAtom(const cq::AtomPattern& pattern, WideAtomLabel* out) const;
 
   /// Batch-structured MatchMaskWords: evaluates this relation's net over
   /// all of `patterns` at once through the fused memoized kernel (see the

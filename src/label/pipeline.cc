@@ -78,35 +78,16 @@ DisclosureLabel LabelerPipeline::LabelPacked(
 }
 
 LabelingPipeline::LabelingPipeline(const ViewCatalog* catalog,
-                                   cq::QueryInterner* interner,
-                                   rewriting::ContainmentCache* cache,
                                    DissectOptions dissect_options,
-                                   Options options,
-                                   const CompiledCatalogMatcher* matcher)
+                                   Options options)
     : inner_(catalog, dissect_options),
       dissect_options_(dissect_options),
-      options_(options),
-      interner_(interner),
-      cache_(cache),
-      matcher_(matcher) {
-  if (interner_ == nullptr) {
-    owned_interner_ = std::make_unique<cq::QueryInterner>();
-    interner_ = owned_interner_.get();
-  }
+      options_(options) {
   if (options_.ablate_compiled_matcher) {
-    matcher_ = nullptr;  // seed kernel is the whole point of the ablation
-    // The seed kernel probes the cache on its hot path — build it up
-    // front. On the compiled path nothing probes it, so a private cache
-    // is created lazily on first use (EnsureCache) instead of paying
-    // ~1.5 MB per pipeline (e.g. once per FrozenCatalog build).
-    EnsureCache();
-  } else if (matcher_ == nullptr && !options_.ablate_interning) {
-    // ablate_interning routes every query through LabelPacked (the seed
-    // benchmark baseline), which never consults the matcher — skip the
-    // compile rather than build a dead artifact.
-    owned_matcher_ = std::make_unique<CompiledCatalogMatcher>(
+    EnsureCache();  // the seed kernel probes it on every mask miss
+  } else if (!options_.ablate_interning) {
+    matcher_ = std::make_unique<const CompiledCatalogMatcher>(
         CompiledCatalogMatcher::Compile(*catalog));
-    matcher_ = owned_matcher_.get();
   }
 }
 
@@ -123,9 +104,9 @@ PackedAtomLabel ComputePatternMask(const ViewCatalog& catalog,
     // UB (the seed only asserted one level up, in ComputeLabel, and the
     // assert vanishes under NDEBUG). Excess views are excluded — labels
     // get strictly higher (stricter, fail-safe) — identically to
-    // CompiledCatalogMatcher::MatchMask and LabelPacked, so the packed
-    // kernels stay mask-for-mask equivalent; the wide matcher path is the
-    // one that represents such views exactly.
+    // LabelPacked and to the low 32 bits of the compiled matcher's mask, so
+    // the packed kernels stay mask-for-mask equivalent; the wide label
+    // atoms are what represent such views exactly.
     if (view.bit < kPackedViewCapacity &&
         cache.RewritableCached(interner, pattern_id, view_id, pattern,
                                view.pattern)) {
@@ -135,98 +116,9 @@ PackedAtomLabel ComputePatternMask(const ViewCatalog& catalog,
   return PackedAtomLabel(static_cast<uint32_t>(pattern.relation), mask);
 }
 
-void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
-                         DissectOptions dissect_options,
-                         std::span<const cq::ConjunctiveQuery* const> queries,
-                         BatchLabelScratch* scratch,
-                         std::vector<DisclosureLabel>* labels,
-                         BatchLabelCounters* counters) {
-  labels->clear();
-  labels->resize(queries.size());
-  if (queries.empty()) return;
-
-  // Dissect every query into one flat atom pool (folding included — the
-  // same Dissect the per-query paths run).
-  scratch->atoms.clear();
-  scratch->atom_query.clear();
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    for (cq::AtomPattern& atom : Dissect(*queries[qi], dissect_options)) {
-      scratch->atoms.push_back(std::move(atom));
-      scratch->atom_query.push_back(static_cast<int32_t>(qi));
-    }
-  }
-  const int total = static_cast<int>(scratch->atoms.size());
-  scratch->order.resize(static_cast<size_t>(total));
-  for (int i = 0; i < total; ++i) scratch->order[static_cast<size_t>(i)] = i;
-  // Bucket by relation, arrival order within a bucket (deterministic and
-  // stable without std::stable_sort's temporary buffer).
-  std::sort(scratch->order.begin(), scratch->order.end(),
-            [scratch](int32_t a, int32_t b) {
-              const int ra = scratch->atoms[static_cast<size_t>(a)].relation;
-              const int rb = scratch->atoms[static_cast<size_t>(b)].relation;
-              if (ra != rb) return ra < rb;
-              return a < b;
-            });
-
-  // Hoisted bucket mask buffer: max bucket length × max words covers every
-  // bucket, sized once per call (and only grown across calls).
-  int max_bucket = 0;
-  for (int i = 0; i < total;) {
-    const int relation = scratch->atoms[scratch->order[i]].relation;
-    int j = i + 1;
-    while (j < total && scratch->atoms[scratch->order[j]].relation == relation)
-      ++j;
-    max_bucket = std::max(max_bucket, j - i);
-    i = j;
-  }
-  const size_t masks_needed =
-      static_cast<size_t>(max_bucket) * matcher.max_mask_words();
-  if (scratch->masks.size() < masks_needed) scratch->masks.resize(masks_needed);
-
-  for (int i = 0; i < total;) {
-    const int relation = scratch->atoms[scratch->order[i]].relation;
-    int j = i + 1;
-    while (j < total && scratch->atoms[scratch->order[j]].relation == relation)
-      ++j;
-    const int len = j - i;
-    scratch->bucket.clear();
-    for (int k = i; k < j; ++k) {
-      scratch->bucket.push_back(&scratch->atoms[scratch->order[k]]);
-    }
-    const int W = matcher.MaskWords(relation);
-    matcher.MatchMaskBatch(
-        std::span<const cq::AtomPattern* const>(scratch->bucket),
-        scratch->masks.data(), &scratch->kernel);
-    counters->batch_mask_evals += static_cast<uint64_t>(len);
-    counters->per_view_tests_avoided +=
-        static_cast<uint64_t>(len) *
-        static_cast<uint64_t>(matcher.AvoidedPerViewTests(relation));
-    const bool wide = matcher.UsesWideMask(relation);
-    if (wide) counters->wide_mask_evals += static_cast<uint64_t>(len);
-    for (int k = i; k < j; ++k) {
-      DisclosureLabel& label =
-          (*labels)[static_cast<size_t>(scratch->atom_query[scratch->order[k]])];
-      const uint64_t* row =
-          scratch->masks.data() + static_cast<size_t>(k - i) * W;
-      if (wide) {
-        WideAtomLabel atom;
-        atom.relation = relation;
-        atom.mask.assign(row, row + W);
-        label.AddWide(std::move(atom));
-      } else {
-        label.Add(PackedAtomLabel(static_cast<uint32_t>(relation),
-                                  static_cast<uint32_t>(row[0])));
-      }
-    }
-    i = j;
-  }
-  for (DisclosureLabel& label : *labels) label.Seal();
-}
-
 rewriting::ContainmentCache& LabelingPipeline::EnsureCache() {
   if (cache_ == nullptr) {
-    owned_cache_ = std::make_unique<rewriting::ContainmentCache>();
-    cache_ = owned_cache_.get();
+    cache_ = std::make_unique<rewriting::ContainmentCache>();
   }
   return *cache_;
 }
@@ -240,48 +132,32 @@ PackedAtomLabel LabelingPipeline::MaskFor(int pattern_id,
   }
   ++stats_.mask_misses;
   const PackedAtomLabel packed = ComputePatternMask(
-      inner_.catalog(), *interner_, EnsureCache(), pattern_id, pattern);
+      inner_.catalog(), interner_, EnsureCache(), pattern_id, pattern);
   mask_by_pattern_.emplace(pattern_id, packed);
   return packed;
 }
 
-DisclosureLabel LabelingPipeline::LabelViaMatcher(
-    const cq::ConjunctiveQuery& query) {
-  // Compiled path: one net evaluation per atom — no pattern interning
-  // (which builds a key string), no mask memo, no cache probes. The net
-  // evaluation is cheaper than the memo probe it would feed. Relations
-  // beyond the packed view capacity get exact multi-word wide atoms; the
-  // rest keep the packed representation (same kernel, one word).
-  DisclosureLabel label;
-  for (const cq::AtomPattern& atom : Dissect(query, dissect_options_)) {
-    ++stats_.compiled_mask_evals;
-    stats_.per_view_tests_avoided +=
-        static_cast<uint64_t>(matcher_->AvoidedPerViewTests(atom.relation));
-    if (matcher_->UsesWideMask(atom.relation)) {
-      ++stats_.wide_mask_evals;
-      WideAtomLabel wide;
-      matcher_->MatchWideAtom(atom, &wide);
-      label.AddWide(std::move(wide));
-    } else {
-      label.Add(matcher_->MatchLabel(atom));
-    }
-  }
-  label.Seal();
-  return label;
-}
-
-DisclosureLabel LabelingPipeline::LabelStateless(
-    const cq::ConjunctiveQuery& query) {
-  if (matcher_ != nullptr) return LabelViaMatcher(query);
-  return inner_.LabelPacked(query);
+void LabelingPipeline::ComputeBatch(
+    std::span<const cq::ConjunctiveQuery* const> queries) {
+  BatchLabelCounters counters;
+  LabelQueriesBatched(*matcher_, dissect_options_, queries, &batch_scratch_,
+                      &computed_, &counters);
+  stats_.compiled_mask_evals += counters.batch_mask_evals;
+  stats_.batch_mask_evals += counters.batch_mask_evals;
+  stats_.wide_mask_evals += counters.wide_mask_evals;
+  stats_.per_view_tests_avoided += counters.per_view_tests_avoided;
 }
 
 DisclosureLabel LabelingPipeline::ComputeLabel(
-    const cq::ConjunctiveQuery& canonical) {
-  if (matcher_ != nullptr) return LabelViaMatcher(canonical);
+    const cq::ConjunctiveQuery& query) {
+  if (matcher_ != nullptr) {
+    const cq::ConjunctiveQuery* one = &query;
+    ComputeBatch(std::span<const cq::ConjunctiveQuery* const>(&one, 1));
+    return std::move(computed_[0]);
+  }
   DisclosureLabel label;
-  for (const cq::AtomPattern& atom : Dissect(canonical, dissect_options_)) {
-    label.Add(MaskFor(interner_->InternPattern(atom), atom));
+  for (const cq::AtomPattern& atom : Dissect(query, dissect_options_)) {
+    label.Add(MaskFor(interner_.InternPattern(atom), atom));
   }
   label.Seal();
   return label;
@@ -289,11 +165,15 @@ DisclosureLabel LabelingPipeline::ComputeLabel(
 
 DisclosureLabel LabelingPipeline::Label(const cq::ConjunctiveQuery& query) {
   if (options_.ablate_interning) return inner_.LabelPacked(query);
-  const cq::InternedQuery* handle =
-      interner_->TryIntern(query, options_.max_interned_queries);
-  if (handle == nullptr) return LabelStateless(query);  // saturated
-  const cq::InternedQuery& interned = *handle;
-  auto it = label_by_query_.find(interned.id());
+  const cq::InternedQuery* interned =
+      interner_.TryIntern(query, options_.max_interned_queries);
+  if (interned == nullptr) {
+    // Saturated: label without interning. The seed kernel would intern the
+    // query's patterns, so that mode falls back to LabelPacked.
+    return matcher_ != nullptr ? ComputeLabel(query)
+                               : inner_.LabelPacked(query);
+  }
+  auto it = label_by_query_.find(interned->id());
   if (it != label_by_query_.end()) {
     ++stats_.label_hits;
     return it->second;
@@ -302,107 +182,73 @@ DisclosureLabel LabelingPipeline::Label(const cq::ConjunctiveQuery& query) {
   if (label_by_query_.size() >= options_.max_label_cache) {
     label_by_query_.clear();
   }
-  DisclosureLabel label = ComputeLabel(interned.query());
-  label_by_query_.emplace(interned.id(), label);
+  DisclosureLabel label = ComputeLabel(interned->query());
+  label_by_query_.emplace(interned->id(), label);
   return label;
 }
 
 std::vector<DisclosureLabel> LabelingPipeline::LabelBatch(
     std::span<const cq::ConjunctiveQuery> queries) {
   std::vector<DisclosureLabel> out;
-  out.reserve(queries.size());
-  if (options_.ablate_interning) {
+  if (matcher_ == nullptr) {
+    // Reference modes: the per-query path.
+    out.reserve(queries.size());
     for (const cq::ConjunctiveQuery& query : queries) {
-      out.push_back(inner_.LabelPacked(query));
+      out.push_back(Label(query));
     }
     return out;
   }
   // Bucket by interned id against the persistent memo: the batch's
-  // distinct structures are labeled once, duplicates cost one map probe.
-  // The capacity check runs only between batches so memo references stay
-  // stable within one.
+  // distinct novel structures and its saturated-interner queries fill one
+  // kernel batch; duplicates and memo hits cost one map probe. The memo's
+  // capacity is checked once per batch.
   if (label_by_query_.size() >= options_.max_label_cache) {
     label_by_query_.clear();
   }
-  if (matcher_ == nullptr || options_.ablate_batch_kernel) {
-    // Pre-batch-kernel shape: each novel structure through the per-atom
-    // compiled (or seed) kernel. Kept as the ablation baseline.
-    for (const cq::ConjunctiveQuery& query : queries) {
-      const cq::InternedQuery* handle =
-          interner_->TryIntern(query, options_.max_interned_queries);
-      if (handle == nullptr) {
-        out.push_back(LabelStateless(query));  // interner saturated
-        continue;
-      }
-      const int id = handle->id();
-      auto it = label_by_query_.find(id);
-      if (it == label_by_query_.end()) {
-        ++stats_.label_misses;
-        it = label_by_query_
-                 .emplace(id, ComputeLabel(interner_->query(id).query()))
-                 .first;
-      } else {
-        ++stats_.label_hits;
-      }
-      out.push_back(it->second);
-    }
-    return out;
-  }
-
-  // Batched path: one intern/memo pass marks the novel structures, then
-  // their dissected atoms are bucketed per relation and evaluated through
-  // the batch kernel (LabelQueriesBatched) — the same labels the per-query
-  // path computes, one MatchMaskBatch per relation instead of one
-  // MatchMaskWords per atom.
   out.resize(queries.size());
-  struct PendingQuery {
+  struct Pending {
     size_t out_index;
-    int id;
+    int32_t slot;
   };
-  std::vector<PendingQuery> pending;
-  std::vector<int> novel_ids;
-  std::vector<const cq::ConjunctiveQuery*> novel_queries;
-  std::unordered_map<int, int32_t> novel_slot;
+  std::vector<Pending> pending;
+  std::vector<int> slot_id;  // interned id per kernel slot, -1 = saturated
+  std::vector<const cq::ConjunctiveQuery*> slot_query;
+  std::unordered_map<int, int32_t> slot_of_id;
   for (size_t k = 0; k < queries.size(); ++k) {
-    const cq::InternedQuery* handle =
-        interner_->TryIntern(queries[k], options_.max_interned_queries);
-    if (handle == nullptr) {
-      out[k] = LabelStateless(queries[k]);  // interner saturated
+    const cq::InternedQuery* interned =
+        interner_.TryIntern(queries[k], options_.max_interned_queries);
+    const int32_t next = static_cast<int32_t>(slot_id.size());
+    if (interned == nullptr) {
+      pending.push_back({k, next});
+      slot_id.push_back(-1);
+      slot_query.push_back(&queries[k]);
       continue;
     }
-    const int id = handle->id();
-    auto it = label_by_query_.find(id);
+    auto it = label_by_query_.find(interned->id());
     if (it != label_by_query_.end()) {
       ++stats_.label_hits;
       out[k] = it->second;
       continue;
     }
-    pending.push_back({k, id});
-    if (novel_slot.emplace(id, static_cast<int32_t>(novel_ids.size())).second) {
+    const auto [slot, fresh] = slot_of_id.emplace(interned->id(), next);
+    if (fresh) {
       ++stats_.label_misses;
-      novel_ids.push_back(id);
-      novel_queries.push_back(&interner_->query(id).query());
+      slot_id.push_back(interned->id());
+      slot_query.push_back(&interned->query());
     } else {
       ++stats_.label_hits;  // batch-internal duplicate, as on the memo path
     }
+    pending.push_back({k, slot->second});
   }
-  if (!novel_queries.empty()) {
-    std::vector<DisclosureLabel> novel_labels;
-    BatchLabelCounters counters;
-    LabelQueriesBatched(*matcher_, dissect_options_,
-                        std::span<const cq::ConjunctiveQuery* const>(
-                            novel_queries),
-                        &batch_scratch_, &novel_labels, &counters);
-    stats_.compiled_mask_evals += counters.batch_mask_evals;
-    stats_.batch_mask_evals += counters.batch_mask_evals;
-    stats_.wide_mask_evals += counters.wide_mask_evals;
-    stats_.per_view_tests_avoided += counters.per_view_tests_avoided;
-    for (size_t s = 0; s < novel_ids.size(); ++s) {
-      label_by_query_.emplace(novel_ids[s], std::move(novel_labels[s]));
+  if (slot_query.empty()) return out;
+  ComputeBatch(std::span<const cq::ConjunctiveQuery* const>(slot_query));
+  for (const Pending& p : pending) {
+    out[p.out_index] = computed_[static_cast<size_t>(p.slot)];
+  }
+  for (size_t s = 0; s < slot_id.size(); ++s) {
+    if (slot_id[s] >= 0) {
+      label_by_query_.emplace(slot_id[s], std::move(computed_[s]));
     }
-  }
-  for (const PendingQuery& p : pending) {
-    out[p.out_index] = label_by_query_.find(p.id)->second;
   }
   return out;
 }

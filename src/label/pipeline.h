@@ -23,6 +23,7 @@
 #include "common/result.h"
 #include "cq/interned.h"
 #include "cq/query.h"
+#include "label/batch_label.h"
 #include "label/compiled_matcher.h"
 #include "label/compressed_label.h"
 #include "label/dissect.h"
@@ -77,98 +78,57 @@ class LabelerPipeline {
 /// ℓ+ mask of one normalized single-atom pattern against `catalog`,
 /// memoizing per-(pattern, view) rewritability decisions in `cache` under
 /// kCatalogRewritable, keyed by `pattern_id` from `interner`. This is the
-/// *seed per-view kernel*: since PR 3 the production paths evaluate the
-/// CompiledCatalogMatcher instead (one pass, no interner, no cache), and
-/// this loop remains as the ablation baseline and property-test oracle —
-/// tests/compiled_matcher_test.cc pins the two mask-for-mask.
+/// *seed per-view kernel*: production labels come from the compiled
+/// matcher's batch kernel instead (LabelQueriesBatched — one pass, no
+/// interner, no cache), and this loop remains the `ablate_compiled_matcher`
+/// baseline and property-test oracle — tests/compiled_matcher_test.cc pins
+/// the two mask-for-mask.
 ///
 /// Packed masks hold kPackedViewCapacity (32) views per relation; views
 /// with bit ≥ 32 are excluded here rather than shifted out of range (which
 /// was UB) — labels over such catalogs are strictly higher (stricter,
-/// fail-safe). The production matcher path has no such cap: relations
-/// beyond the packed capacity get exact multi-word masks
-/// (CompiledCatalogMatcher::MatchMaskWords feeding WideAtomLabel entries),
-/// so this kernel is the *packed* oracle only.
+/// fail-safe). The production kernel has no such cap: relations beyond the
+/// packed capacity get exact multi-word masks in WideAtomLabel entries, so
+/// this kernel is the *packed* oracle only.
 PackedAtomLabel ComputePatternMask(const ViewCatalog& catalog,
                                    const cq::QueryInterner& interner,
                                    rewriting::ContainmentCache& cache,
                                    int pattern_id,
                                    const cq::AtomPattern& pattern);
 
-/// Working state for LabelQueriesBatched, reusable across calls: the
-/// dissected atoms, their relation-bucketed order, the bucket mask buffer
-/// hoisted out of the bucket loop (sized once per call by
-/// CompiledCatalogMatcher::max_mask_words() × the largest bucket), and the
-/// matcher's BatchScratch. A warm scratch makes the whole bucket/kernel
-/// phase allocation-free; confine an instance to one thread.
-struct BatchLabelScratch {
-  std::vector<cq::AtomPattern> atoms;
-  std::vector<int32_t> atom_query;  // atoms[i] dissected from query atom_query[i]
-  std::vector<int32_t> order;       // atom indices, bucketed by relation
-  std::vector<const cq::AtomPattern*> bucket;  // current bucket's patterns
-  std::vector<uint64_t> masks;      // hoisted per-bucket mask rows
-  BatchScratch kernel;
-};
-
-/// Counters LabelQueriesBatched accumulates for the caller's stats.
-struct BatchLabelCounters {
-  uint64_t batch_mask_evals = 0;        // masks evaluated through the kernel
-  uint64_t wide_mask_evals = 0;         // of those, wide-relation masks
-  uint64_t per_view_tests_avoided = 0;  // seed per-view tests replaced
-};
-
-/// The batched labeling core shared by LabelingPipeline::LabelBatch and
-/// engine::ConcurrentLabeler::LabelBatch: dissects every query, buckets the
-/// dissected atoms per relation, evaluates each bucket in one
-/// CompiledCatalogMatcher::MatchMaskBatch call, and scatters the mask rows
-/// into one Sealed DisclosureLabel per query — identical output to the
-/// per-query LabelViaMatcher/LabelCompiled paths (the batch kernel is
-/// bit-identical to per-atom MatchMaskWords). Pure reads of `matcher`;
-/// thread-safe given a per-thread scratch.
-void LabelQueriesBatched(const CompiledCatalogMatcher& matcher,
-                         DissectOptions dissect_options,
-                         std::span<const cq::ConjunctiveQuery* const> queries,
-                         BatchLabelScratch* scratch,
-                         std::vector<DisclosureLabel>* labels,
-                         BatchLabelCounters* counters);
-
-/// The production labeling front end: intern → index → memoize → batch.
+/// The single-threaded labeling front end: intern → memoize → batch kernel.
 ///
-/// Layered on LabelerPipeline::LabelPacked (which itself benefits from the
-/// indexed homomorphism engine inside Dissect's folding step):
 ///   1. queries are canonicalized once and hash-consed by a QueryInterner,
 ///      so structurally repeated queries share one interned id;
 ///   2. whole-query labels are memoized by interned id — the §7.2
 ///      repeated-template workload turns into one hash probe per query;
-///   3. per-atom ℓ+ masks come from the CompiledCatalogMatcher — one
-///      allocation-free pass per dissected atom, no interner probes, no
-///      cache probes, no per-view tests — so even fully novel queries pay
-///      O(arity) per atom. Relations with more views than a packed mask
-///      carries get exact multi-word masks (wide label atoms); narrow
-///      relations keep the packed representation. The seed variant
-///      (patterns interned, masks memoized, per-view tests through the
-///      shared ContainmentCache under kCatalogRewritable, packed-only) is
-///      kept behind `ablate_compiled_matcher`;
-///   4. LabelBatch buckets a whole batch by interned id and computes each
-///      distinct label exactly once; the novel structures' dissected atoms
-///      are then bucketed per relation and evaluated through the
-///      batch-structured kernel (MatchMaskBatch — see
-///      LabelQueriesBatched), with the per-atom loop kept behind
-///      `ablate_batch_kernel`.
+///   3. memo misses are labeled by LabelQueriesBatched (label/batch_label.h),
+///      the kernel every production label goes through: Label computes a
+///      batch of one, LabelBatch computes each distinct novel structure of
+///      the batch exactly once, their dissected atoms bucketed per relation
+///      through the compiled matcher's MatchMaskBatch. Relations with more
+///      views than a packed mask carries get exact multi-word wide atoms.
+///   4. once the interner saturates, novel structures are labeled through
+///      the same kernel without being interned or memoized.
 ///
-/// `ablate_interning` (baseline mode, kept for the Figure-style benchmark
-/// ablation) bypasses all of the above and calls LabelPacked per query.
+/// Two reference modes stay as benchmark baselines and test oracles; in
+/// either, LabelBatch is one Label per query:
+///   * `ablate_interning` — the BatchMonitor baseline: LabelPacked per query,
+///     no interning, no memo;
+///   * `ablate_compiled_matcher` — the seed per-view kernel: patterns
+///     interned, masks memoized, per-view tests through the pipeline's
+///     ContainmentCache under kCatalogRewritable (packed-only, so it
+///     over-labels relations beyond the packed view capacity).
 ///
-/// Sharing contract: this class is the *single-threaded* labeling front end
-/// — every method (including the memo-warming ones) mutates unguarded
-/// state, so an instance must be confined to one thread; it remains the
+/// Sharing contract: every method (including the memo-warming ones) mutates
+/// unguarded state, so an instance must be confined to one thread; it is the
 /// seed/ablation oracle and the right choice for one-shot tools. Serving
 /// threads share labeling state through engine::ConcurrentLabeler instead,
-/// which layers a lock-free frozen tier and an overlay with lock-free warm
-/// hits over the same algorithm (identical labels, property-tested). The
-/// ContainmentCache it is handed may be shared freely (that class is
-/// internally sharded and thread-safe); the QueryInterner may not, unless
-/// frozen (see interned.h).
+/// which walks a lock-free frozen tier and an overlay with lock-free warm
+/// hits into the same kernel (identical labels, property-tested). The
+/// pipeline's ContainmentCache (cache()) may be handed to other analyses
+/// over the same interner and catalog; it is internally sharded and
+/// thread-safe.
 struct LabelingOptions {
   /// Baseline mode: no interning, no memoization (bench ablation).
   bool ablate_interning = false;
@@ -179,19 +139,13 @@ struct LabelingOptions {
   /// on catalogs beyond the packed view capacity it over-labels (bit ≥ 32
   /// excluded), while the compiled path stays exact via wide atoms.
   bool ablate_compiled_matcher = false;
-  /// Batch ablation: LabelBatch labels each novel structure through the
-  /// per-atom MatchMaskWords loop (the pre-batch code shape) instead of
-  /// bucketing atoms per relation through MatchMaskBatch. Labels are
-  /// identical either way (property-tested); this isolates the batch
-  /// kernel's contribution in benchmarks.
-  bool ablate_batch_kernel = false;
   /// Whole-query label memo entries kept before the memo is reset.
   size_t max_label_cache = 1 << 20;
   /// Interner growth bound: once this many distinct structures are
-  /// interned, novel ones are labeled statelessly (LabelPacked) instead of
-  /// being interned — queries are principal-controlled, so the interner
-  /// must not grow without bound under adversarial distinct-structure
-  /// streams. Known structures keep hitting their memoized labels.
+  /// interned, novel ones are labeled statelessly instead of being
+  /// interned — queries are principal-controlled, so the interner must not
+  /// grow without bound under adversarial distinct-structure streams.
+  /// Known structures keep hitting their memoized labels.
   size_t max_interned_queries = 1 << 20;
 };
 
@@ -216,61 +170,51 @@ class LabelingPipeline {
     uint64_t per_view_tests_avoided = 0;
   };
 
-  /// `interner` and `cache` may be null (private ones are created). When
-  /// shared, the cache's kCatalogRewritable kind must only carry this
-  /// (interner, catalog) pair's ids. `matcher`, when non-null, must be
-  /// compiled from `catalog` and outlive the pipeline (engine::FrozenCatalog
-  /// shares its compiled artifact this way); when null and neither ablation
-  /// flag is set, the pipeline compiles and owns one.
-  LabelingPipeline(const ViewCatalog* catalog,
-                   cq::QueryInterner* interner = nullptr,
-                   rewriting::ContainmentCache* cache = nullptr,
-                   DissectOptions dissect_options = {},
-                   LabelingOptions options = {},
-                   const CompiledCatalogMatcher* matcher = nullptr);
+  /// Compiles and owns the catalog's matcher unless a reference mode is
+  /// selected. `catalog` must outlive the pipeline.
+  explicit LabelingPipeline(const ViewCatalog* catalog,
+                            DissectOptions dissect_options = {},
+                            LabelingOptions options = {});
 
-  /// Interned + memoized packed label; agrees with LabelPacked.
+  /// Interned + memoized label; agrees with LabelPacked on packed-only
+  /// catalogs.
   DisclosureLabel Label(const cq::ConjunctiveQuery& query);
 
   /// Labels a batch, computing each distinct structure once.
   std::vector<DisclosureLabel> LabelBatch(
       std::span<const cq::ConjunctiveQuery> queries);
 
-  cq::QueryInterner& interner() { return *interner_; }
-  /// The shared decision cache (created on first use when none was
-  /// injected — the compiled-matcher path never probes one itself).
+  cq::QueryInterner& interner() { return interner_; }
+  /// The pipeline's decision cache (created on first use — only the seed
+  /// kernel probes it itself).
   rewriting::ContainmentCache& cache() { return EnsureCache(); }
   const Stats& stats() const { return stats_; }
   const ViewCatalog& catalog() const { return inner_.catalog(); }
-  /// The compiled matcher in use, or nullptr when ablated.
-  const CompiledCatalogMatcher* matcher() const { return matcher_; }
+  /// The compiled matcher in use, or nullptr in a reference mode.
+  const CompiledCatalogMatcher* matcher() const { return matcher_.get(); }
 
  private:
-  /// Lazily creates the private cache when none was injected.
   rewriting::ContainmentCache& EnsureCache();
-  /// ℓ+ mask of one interned pattern (memoized).
+  /// ℓ+ mask of one interned pattern (memoized; seed kernel).
   PackedAtomLabel MaskFor(int pattern_id, const cq::AtomPattern& pattern);
-  /// Dissect + one compiled-net evaluation per atom; requires matcher_.
-  DisclosureLabel LabelViaMatcher(const cq::ConjunctiveQuery& query);
-  /// Stateless label for uninterned queries (interner saturated): the
-  /// compiled net when available, else the seed LabelPacked loop.
-  DisclosureLabel LabelStateless(const cq::ConjunctiveQuery& query);
-  DisclosureLabel ComputeLabel(const cq::ConjunctiveQuery& canonical);
+  /// LabelQueriesBatched over `queries` into computed_, bumping stats_.
+  void ComputeBatch(std::span<const cq::ConjunctiveQuery* const> queries);
+  /// Label of one memo miss: a batch of one through the kernel, or the
+  /// seed kernel in that reference mode.
+  DisclosureLabel ComputeLabel(const cq::ConjunctiveQuery& query);
 
   LabelerPipeline inner_;
   DissectOptions dissect_options_;
   Options options_;
-  cq::QueryInterner* interner_;
-  rewriting::ContainmentCache* cache_;
-  const CompiledCatalogMatcher* matcher_ = nullptr;
-  std::unique_ptr<cq::QueryInterner> owned_interner_;
-  std::unique_ptr<rewriting::ContainmentCache> owned_cache_;
-  std::unique_ptr<CompiledCatalogMatcher> owned_matcher_;
+  cq::QueryInterner interner_;
+  std::unique_ptr<rewriting::ContainmentCache> cache_;
+  std::unique_ptr<const CompiledCatalogMatcher> matcher_;
   std::unordered_map<int, DisclosureLabel> label_by_query_;
   std::unordered_map<int, PackedAtomLabel> mask_by_pattern_;
-  // LabelBatch's bucket/kernel scratch, reused across batches (warm batches
-  // allocate nothing in the bucket loop).
+  // Kernel scratch and output, reused across calls (warm batches allocate
+  // nothing in the bucket loop).
   BatchLabelScratch batch_scratch_;
+  std::vector<DisclosureLabel> computed_;
   Stats stats_;
 };
 

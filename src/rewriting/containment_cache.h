@@ -25,8 +25,8 @@
 // both compute the same value; both inserts store the identical decision,
 // so the race is benign). A Lookup counts as a reader-side lock
 // acquisition (common/locks.h). No served request probes the cache: the
-// engine builds one only for the ablated seed labeling kernel, whose probes
-// already run under the labeler's exclusive lock.
+// engine owns none, and its users are the order/lattice/audit tooling and
+// LabelingPipeline's `ablate_compiled_matcher` seed kernel.
 //
 // stats() sums the per-shard counters (relaxed atomics) and may interleave
 // with updates, so it is a consistent-enough snapshot for observability,

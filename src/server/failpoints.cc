@@ -1,7 +1,5 @@
 #include "server/failpoints.h"
 
-#ifndef FDC_NO_FAILPOINTS
-
 #include <errno.h>
 #include <unistd.h>
 
@@ -330,5 +328,3 @@ int EpollWait(int epfd, epoll_event* events, int maxevents, int timeout_ms) {
 }
 
 }  // namespace fdc::server::failpoints
-
-#endif  // FDC_NO_FAILPOINTS

@@ -3,9 +3,8 @@
 // Every socket-layer syscall the server's event loop issues goes through
 // the thin wrappers below. When the harness is DISABLED (the default at
 // runtime, and the only state in production) each wrapper is a direct
-// passthrough behind one relaxed atomic load; configuring the build with
-// -DFDC_FAILPOINTS=OFF (which defines FDC_NO_FAILPOINTS) compiles the
-// harness out entirely and the wrappers become plain inline calls.
+// passthrough behind one relaxed atomic load. The harness is always
+// compiled in; that load is its whole cost on the serving path.
 //
 // When ENABLED, every intercepted call rolls against a seeded counter-
 // indexed hash (SplitMix64 over (seed, global call index, op)), so a fault
@@ -85,8 +84,6 @@ struct Stats {
   uint64_t emfile = 0;        // EMFILE + ENFILE + ECONNABORTED on accept
 };
 
-#ifndef FDC_NO_FAILPOINTS
-
 /// Installs `config` and starts injecting. Safe to call while server
 /// threads are running (fields are published individually; a torn view is
 /// at worst one call injected under a mix of old/new rates).
@@ -131,36 +128,5 @@ ssize_t Recv(int fd, void* buf, size_t len, int flags);
 ssize_t Send(int fd, const void* buf, size_t len, int flags);
 int Close(int fd);
 int EpollWait(int epfd, epoll_event* events, int maxevents, int timeout_ms);
-
-#else  // FDC_NO_FAILPOINTS: the harness compiles out to direct calls.
-
-inline void Enable(const Config&) {}
-inline void Disable() {}
-inline bool Enabled() { return false; }
-inline bool EnableFromEnv(const char* = nullptr) { return false; }
-inline Stats Current() { return {}; }
-inline void ResetStats() {}
-
-class ScopedFailpoints {
- public:
-  explicit ScopedFailpoints(const Config&) {}
-};
-
-inline int Accept4(int fd, sockaddr* addr, socklen_t* addrlen, int flags) {
-  return ::accept4(fd, addr, addrlen, flags);
-}
-inline ssize_t Recv(int fd, void* buf, size_t len, int flags) {
-  return ::recv(fd, buf, len, flags);
-}
-inline ssize_t Send(int fd, const void* buf, size_t len, int flags) {
-  return ::send(fd, buf, len, flags);
-}
-inline int Close(int fd) { return ::close(fd); }
-inline int EpollWait(int epfd, epoll_event* events, int maxevents,
-                     int timeout_ms) {
-  return ::epoll_wait(epfd, events, maxevents, timeout_ms);
-}
-
-#endif  // FDC_NO_FAILPOINTS
 
 }  // namespace fdc::server::failpoints

@@ -237,7 +237,7 @@ TEST(BatchKernelPropertyTest, FallbackRelationsRunThePerViewLoopPerPattern) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(BatchKernelPropertyTest, PipelineBatchMatchesPerQueryAndAblatedPaths) {
+TEST(BatchKernelPropertyTest, PipelineBatchMatchesPerQueryLabel) {
   Rng rng(0xba7c'0004);
   for (const int views : {5, 33, 65}) {
     std::vector<int> arities;
@@ -247,26 +247,25 @@ TEST(BatchKernelPropertyTest, PipelineBatchMatchesPerQueryAndAblatedPaths) {
 
     LabelingPipeline batched(&catalog);
     LabelingPipeline per_query(&catalog);
-    LabelingOptions ablated_options;
-    ablated_options.ablate_batch_kernel = true;
-    LabelingPipeline ablated(&catalog, nullptr, nullptr, {}, ablated_options);
 
     // Duplicates included: the batch memo/dedup bookkeeping is on the path.
     std::vector<ConjunctiveQuery> pool;
     for (int i = 0; i < 24; ++i) pool.push_back(RandomQuery(&rng, arities));
     for (int i = 0; i < 8; ++i) pool.push_back(pool[static_cast<size_t>(i)]);
 
+    // One kernel call over every novel structure vs a batch of one per
+    // query: different bucket compositions, identical labels.
     const std::vector<DisclosureLabel> got = batched.LabelBatch(pool);
-    const std::vector<DisclosureLabel> want = ablated.LabelBatch(pool);
     ASSERT_EQ(got.size(), pool.size());
     for (size_t i = 0; i < pool.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "views=" << views << " query " << i;
-      EXPECT_EQ(got[i], per_query.Label(pool[i])) << "query " << i;
+      EXPECT_EQ(got[i], per_query.Label(pool[i]))
+          << "views=" << views << " query " << i;
     }
     EXPECT_GT(batched.stats().batch_mask_evals, 0u);
     EXPECT_EQ(batched.stats().batch_mask_evals,
               batched.stats().compiled_mask_evals);
-    EXPECT_EQ(ablated.stats().batch_mask_evals, 0u);
+    EXPECT_EQ(per_query.stats().batch_mask_evals,
+              per_query.stats().compiled_mask_evals);
     // Second identical batch: all memo hits, no new kernel work.
     const uint64_t evals = batched.stats().batch_mask_evals;
     const std::vector<DisclosureLabel> again = batched.LabelBatch(pool);
@@ -283,7 +282,7 @@ TEST(BatchKernelPropertyTest, PipelineBatchAgreesUnderInternerSaturation) {
   BoundaryCatalog(&rng, &catalog, arities, 40);
   LabelingOptions options;
   options.max_interned_queries = 3;  // most of the batch goes stateless
-  LabelingPipeline batched(&catalog, nullptr, nullptr, {}, options);
+  LabelingPipeline batched(&catalog, {}, options);
   LabelingPipeline reference(&catalog);
   std::vector<ConjunctiveQuery> pool;
   for (int i = 0; i < 20; ++i) pool.push_back(RandomQuery(&rng, arities));
@@ -305,9 +304,7 @@ TEST(BatchKernelPropertyTest, ConcurrentLabelerBatchMatchesPipeline) {
     for (int i = 0; i < 8; ++i) warmup.push_back(RandomQuery(&rng, arities));
     auto frozen = engine::FrozenCatalog::Build(&catalog, warmup);
     engine::ConcurrentLabeler labeler(frozen);
-    engine::ConcurrentLabelerOptions ablated_options;
-    ablated_options.ablate_batch_kernel = true;
-    engine::ConcurrentLabeler ablated(frozen, ablated_options);
+    engine::ConcurrentLabeler per_query(frozen);
     LabelingPipeline reference(&catalog);
 
     // Mix: warmup structures (frozen hits), novel ones, and batch-internal
@@ -319,15 +316,18 @@ TEST(BatchKernelPropertyTest, ConcurrentLabelerBatchMatchesPipeline) {
     }
 
     const std::vector<DisclosureLabel> got = labeler.LabelBatch(pool);
-    const std::vector<DisclosureLabel> want = ablated.LabelBatch(pool);
     ASSERT_EQ(got.size(), pool.size());
     for (size_t i = 0; i < pool.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "views=" << views << " query " << i;
+      EXPECT_EQ(got[i], per_query.Label(pool[i]))
+          << "views=" << views << " query " << i;
       EXPECT_EQ(got[i], reference.Label(pool[i])) << "query " << i;
     }
     EXPECT_GT(labeler.stats().frozen_hits, 0u);
     EXPECT_GT(labeler.stats().batch_mask_evals, 0u);
-    EXPECT_EQ(ablated.stats().batch_mask_evals, 0u);
+    EXPECT_EQ(labeler.stats().batch_mask_evals,
+              labeler.stats().compiled_mask_evals);
+    EXPECT_EQ(per_query.stats().batch_mask_evals,
+              per_query.stats().compiled_mask_evals);
     // Re-labeling the same batch resolves from the overlay memo.
     const uint64_t evals = labeler.stats().batch_mask_evals;
     const std::vector<DisclosureLabel> again = labeler.LabelBatch(pool);

@@ -67,7 +67,7 @@ TEST(BatchPipelineTest, AblatedModeBypassesCaches) {
   FbFixture fb;
   LabelingOptions options;
   options.ablate_interning = true;
-  LabelingPipeline pipeline(&fb.catalog, nullptr, nullptr, {}, options);
+  LabelingPipeline pipeline(&fb.catalog, {}, options);
   LabelerPipeline seed_pipeline(&fb.catalog);
   for (const auto& query : Workload(&fb.schema, 1, 50, 0xcafe)) {
     EXPECT_EQ(pipeline.Label(query), seed_pipeline.LabelPacked(query));
@@ -141,7 +141,7 @@ TEST(BatchPipelineTest, InternerSaturationFallsBackStatelessly) {
   FbFixture fb;
   LabelingOptions options;
   options.max_interned_queries = 4;  // tiny cap to force saturation
-  LabelingPipeline pipeline(&fb.catalog, nullptr, nullptr, {}, options);
+  LabelingPipeline pipeline(&fb.catalog, {}, options);
   LabelerPipeline seed_pipeline(&fb.catalog);
   const auto pool = Workload(&fb.schema, 2, 64, 0x5a7a);
   // Well past the cap: labels must stay correct, interner must stay capped.
@@ -166,7 +166,7 @@ TEST(BatchPipelineTest, OverprivilegeAnalysisSharesPipelineCache) {
   // cache-sharing contract between labeling and the overprivilege audit.
   LabelingOptions options;
   options.ablate_compiled_matcher = true;
-  LabelingPipeline pipeline(&fb.catalog, nullptr, nullptr, {}, options);
+  LabelingPipeline pipeline(&fb.catalog, {}, options);
   auto workload = Workload(&fb.schema, 1, 64, 0xdddd);
   // Warm the shared cache through the pipeline.
   (void)pipeline.LabelBatch(workload);

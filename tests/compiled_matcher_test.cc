@@ -115,7 +115,7 @@ void RandomCatalog(Rng* rng, ViewCatalog* catalog,
 }
 
 // The seed-of-seeds: a raw AtomRewritable loop with the packed 32-view
-// guard, against which both production kernels are compared.
+// guard, against which both kernels are compared.
 uint32_t OracleMask(const ViewCatalog& catalog, const AtomPattern& pattern) {
   uint32_t mask = 0;
   for (int view_id : catalog.ViewsOfRelation(pattern.relation)) {
@@ -126,6 +126,16 @@ uint32_t OracleMask(const ViewCatalog& catalog, const AtomPattern& pattern) {
     }
   }
   return mask;
+}
+
+// The matcher's packed contract: the low 32 bits of the full mask (word 0)
+// that MatchMaskWords writes.
+uint32_t PackedMask(const CompiledCatalogMatcher& matcher,
+                    const AtomPattern& pattern) {
+  std::vector<uint64_t> words(
+      static_cast<size_t>(matcher.MaskWords(pattern.relation)));
+  matcher.MatchMaskWords(pattern, words.data());
+  return static_cast<uint32_t>(words[0]);
 }
 
 TEST(CompiledMatcherTest, MatchesSeedKernelsOnRandomCatalogs) {
@@ -146,7 +156,7 @@ TEST(CompiledMatcherTest, MatchesSeedKernelsOnRandomCatalogs) {
       const AtomPattern pattern =
           RandomPattern(&rng, relation, arities[relation]);
       const uint32_t oracle = OracleMask(catalog, pattern);
-      EXPECT_EQ(matcher.MatchMask(pattern), oracle)
+      EXPECT_EQ(PackedMask(matcher, pattern), oracle)
           << "compiled net disagrees with per-view loop, trial " << trial
           << " pattern " << pattern.Key();
       const int pattern_id = interner.InternPattern(pattern);
@@ -169,8 +179,7 @@ TEST(CompiledMatcherTest, PipelineLabelsIdenticalWithAndWithoutMatcher) {
     LabelingPipeline compiled(&catalog);
     LabelingOptions ablated_options;
     ablated_options.ablate_compiled_matcher = true;
-    LabelingPipeline ablated(&catalog, nullptr, nullptr, {},
-                             ablated_options);
+    LabelingPipeline ablated(&catalog, {}, ablated_options);
     ASSERT_NE(compiled.matcher(), nullptr);
     ASSERT_EQ(ablated.matcher(), nullptr);
     for (int i = 0; i < 40; ++i) {
@@ -228,7 +237,7 @@ TEST(CompiledMatcherTest, Beyond32ViewsPerRelationIsDefinedAndStricter) {
   auto masks_for = [&](const std::string& constant) {
     AtomPattern pattern = AtomPattern::FromAtom(
         Atom(0, {Term::Var(0), Term::Const(constant)}), {true});
-    const uint32_t compiled = matcher.MatchMask(pattern);
+    const uint32_t compiled = PackedMask(matcher, pattern);
     const uint32_t seed =
         ComputePatternMask(catalog, interner, cache,
                            interner.InternPattern(pattern), pattern)
@@ -244,6 +253,16 @@ TEST(CompiledMatcherTest, Beyond32ViewsPerRelationIsDefinedAndStricter) {
   // {full}: a strictly higher (stricter) label, never a looser one, and no
   // undefined shift anywhere.
   EXPECT_EQ(masks_for("k35"), uint32_t{1} << 0);
+  // The full mask carries bit 35 exactly; the relation's labels ride in
+  // wide atoms, so no label drops it.
+  ASSERT_TRUE(matcher.UsesWideMask(0));
+  ASSERT_EQ(matcher.MaskWords(0), 1);
+  uint64_t full = 0;
+  matcher.MatchMaskWords(
+      AtomPattern::FromAtom(Atom(0, {Term::Var(0), Term::Const("k35")}),
+                            {true}),
+      &full);
+  EXPECT_EQ(full, (uint64_t{1} << 0) | (uint64_t{1} << 35));
 }
 
 TEST(CompiledMatcherTest, WarmScratchSearchesAreAllocationFree) {
@@ -309,19 +328,24 @@ TEST(CompiledMatcherTest, MatcherEvaluationIsAllocationFree) {
     const int relation = static_cast<int>(rng.Below(arities.size()));
     patterns.push_back(RandomPattern(&rng, relation, arities[relation]));
   }
-  std::vector<uint32_t> expected;
+  ASSERT_EQ(matcher.max_mask_words(), 1);
+  std::vector<uint64_t> expected;
   for (const AtomPattern& pattern : patterns) {
-    expected.push_back(matcher.MatchMask(pattern));
+    uint64_t mask = 0;
+    matcher.MatchMaskWords(pattern, &mask);
+    expected.push_back(mask);
   }
   g_alloc_count.store(0);
   g_count_allocs.store(true);
   for (int rep = 0; rep < 20; ++rep) {
     for (size_t i = 0; i < patterns.size(); ++i) {
-      ASSERT_EQ(matcher.MatchMask(patterns[i]), expected[i]);
+      uint64_t mask = ~0ULL;
+      matcher.MatchMaskWords(patterns[i], &mask);
+      ASSERT_EQ(mask, expected[i]);
     }
   }
   g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0u) << "MatchMask must not allocate";
+  EXPECT_EQ(g_alloc_count.load(), 0u) << "MatchMaskWords must not allocate";
 }
 
 }  // namespace

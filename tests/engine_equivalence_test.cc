@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cq/canonical.h"
 #include "fb/fb_schema.h"
 #include "fb/fb_views.h"
 #include "label/pipeline.h"
@@ -30,7 +33,9 @@ using test::RandomWorkload;
 
 // Engine labels agree exactly with the seed labeler on random workloads —
 // through the frozen warmup tier, the dynamic overlay, and the saturated
-// stateless fallback alike.
+// stateless fallback alike. The seed side is the per-view LabelPacked loop,
+// not LabelingPipeline, which computes through the engine's own kernel;
+// the §7.2 catalog is packed-only, so LabelPacked is exact here.
 TEST(EngineEquivalenceTest, LabelsMatchSeedPipeline) {
   FbFixture fb;
   const auto pool = RandomWorkload(&fb.schema, 3, 300, 0xfeed'beefULL);
@@ -44,14 +49,77 @@ TEST(EngineEquivalenceTest, LabelsMatchSeedPipeline) {
                           workload::PolicyGenerator(&fb.catalog, {}, 7).Next(),
                           options, warmup);
 
-  label::LabelingPipeline seed(&fb.catalog);
+  const label::LabelerPipeline seed(&fb.catalog);
   for (const cq::ConjunctiveQuery& query : pool) {
-    EXPECT_EQ(engine.Explain(query), seed.Label(query));
+    EXPECT_EQ(engine.Explain(query), seed.LabelPacked(query));
   }
   const DisclosureEngine::EngineStats stats = engine.Stats();
   EXPECT_GT(stats.labeler.frozen_hits, 0u);
   EXPECT_GT(stats.labeler.overlay_misses, 0u);
   EXPECT_GT(stats.labeler.stateless_fallbacks, 0u);
+}
+
+// One query driven through ConcurrentLabeler::Label into each tier moves
+// exactly the counter perfbench's traced replay classifies it by: frozen
+// → frozen_hits, chunk → overlay_chunk_hits, stale memo → overlay_hits
+// beyond the chunk hits ("locked"), novel → overlay_misses, saturated →
+// stateless_fallbacks. No step publishes a chunk, which the replay would
+// classify first.
+TEST(EngineEquivalenceTest, EachLabelTierMovesOnlyItsReplayCounter) {
+  FbFixture fb;
+  // Five distinct structures, none of them a catalog view's own query.
+  std::vector<cq::ConjunctiveQuery> picked;
+  {
+    const auto views_only = FrozenCatalog::Build(&fb.catalog);
+    std::set<std::string> keys;
+    for (const cq::ConjunctiveQuery& query :
+         RandomWorkload(&fb.schema, 2, 64, 0x7e1e'5ULL)) {
+      if (views_only->FindLabel(query) == nullptr &&
+          keys.insert(cq::CanonicalKey(query)).second) {
+        picked.push_back(query);
+      }
+      if (picked.size() == 5) break;
+    }
+  }
+  ASSERT_EQ(picked.size(), 5u);
+  const cq::ConjunctiveQuery& frozen_q = picked[0];
+  const cq::ConjunctiveQuery& chunk_q = picked[1];
+  const cq::ConjunctiveQuery& memo_q = picked[2];
+  const cq::ConjunctiveQuery& novel_q = picked[3];
+  const cq::ConjunctiveQuery& stateless_q = picked[4];
+
+  ConcurrentLabeler::Options options;
+  options.max_interned_queries = 3;       // chunk_q, memo_q, novel_q
+  options.overlay_min_publish = 1 << 20;  // publish only when asked
+  ConcurrentLabeler labeler(
+      FrozenCatalog::Build(&fb.catalog, std::span(&frozen_q, 1)), options);
+  (void)labeler.Label(chunk_q);
+  labeler.PublishOverlayChunk();
+  (void)labeler.Label(memo_q);  // memoized after the publish: stale chunk
+
+  struct Moved {
+    uint64_t frozen, chunk, locked, novel, stateless, publishes;
+    bool operator==(const Moved&) const = default;
+  };
+  const label::LabelerPipeline seed(&fb.catalog);
+  auto label_and_diff = [&](const cq::ConjunctiveQuery& query) {
+    const ConcurrentLabeler::Stats b = labeler.stats();
+    EXPECT_EQ(labeler.Label(query), seed.LabelPacked(query));
+    const ConcurrentLabeler::Stats a = labeler.stats();
+    EXPECT_EQ(a.batch_mask_evals, a.compiled_mask_evals);
+    return Moved{a.frozen_hits - b.frozen_hits,
+                 a.overlay_chunk_hits - b.overlay_chunk_hits,
+                 (a.overlay_hits - a.overlay_chunk_hits) -
+                     (b.overlay_hits - b.overlay_chunk_hits),
+                 a.overlay_misses - b.overlay_misses,
+                 a.stateless_fallbacks - b.stateless_fallbacks,
+                 a.overlay_chunk_publishes - b.overlay_chunk_publishes};
+  };
+  EXPECT_EQ(label_and_diff(frozen_q), (Moved{1, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(label_and_diff(chunk_q), (Moved{0, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(label_and_diff(memo_q), (Moved{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(label_and_diff(novel_q), (Moved{0, 0, 0, 1, 0, 0}));
+  EXPECT_EQ(label_and_diff(stateless_q), (Moved{0, 0, 0, 0, 1, 0}));
 }
 
 // The core acceptance property: randomized multi-principal workloads give

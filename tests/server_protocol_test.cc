@@ -310,8 +310,7 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   EXPECT_TRUE(JsonValidator(json).Validate()) << json;
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
-        "\"interner\"", "\"containment_cache\"", "\"ebr\"",
-        "\"shadow\""}) {
+        "\"interner\"", "\"ebr\"", "\"shadow\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }

@@ -8,28 +8,33 @@
 //
 //   * CompiledCatalogMatcher::MatchMaskWords ≡ the raw AtomRewritable loop
 //     ≡ LabelerPipeline::LabelWide over random schemas/catalogs/patterns at
-//     1–128 views per relation, and MatchMask stays the exact low-32-bit
-//     truncation (the packed contract, unchanged);
-//   * LabelingPipeline (compiled path) labels carry the same per-atom ℓ+
+//     1–129 views per relation, and its low word truncated to 32 bits is
+//     the packed oracle's mask;
+//   * LabelingPipeline and engine::ConcurrentLabeler labels — through
+//     Label and LabelBatch, and through every labeler tier (frozen,
+//     overlay chunk, memo, novel, stateless) — carry the same per-atom ℓ+
 //     bit sets as the LabelWide oracle, and their lattice order (Leq)
 //     coincides;
 //   * SecurityPolicy / ReferenceMonitor / PolicyStore decide identically to
 //     a set-based oracle monitor over the raw ℓ+ view-id sets;
-//   * the steady-state wide kernels (MatchMaskWords into a warm buffer,
-//     MatchWideAtom into a warm reusable label) make zero heap allocations
-//     (counted via a global operator new override).
+//   * the steady-state wide kernel (MatchMaskWords into a warm buffer)
+//     makes zero heap allocations (counted via a global operator new
+//     override).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "cq/pattern.h"
 #include "cq/schema.h"
+#include "engine/labeler.h"
+#include "engine/snapshot.h"
 #include "label/compiled_matcher.h"
 #include "label/dissect.h"
 #include "label/pipeline.h"
@@ -136,6 +141,19 @@ std::vector<uint64_t> OracleWords(const ViewCatalog& catalog,
   return out;
 }
 
+// The packed seed guard: the same loop with views at bit ≥ 32 excluded.
+uint32_t PackedOracle(const ViewCatalog& catalog, const AtomPattern& pattern) {
+  uint32_t mask = 0;
+  for (int view_id : catalog.ViewsOfRelation(pattern.relation)) {
+    const SecurityView& view = catalog.view(view_id);
+    if (view.bit < kPackedViewCapacity &&
+        rewriting::AtomRewritable(pattern, view.pattern)) {
+      mask |= uint32_t{1} << view.bit;
+    }
+  }
+  return mask;
+}
+
 // One dissected atom's ℓ+ as a (relation, trimmed bit words) pair —
 // the representation-independent form both label types reduce to.
 struct AtomBits {
@@ -222,7 +240,6 @@ TEST(WideMatcherPropertyTest, MatchesSeedOracleAcrossViewCountBoundaries) {
           CompiledCatalogMatcher::Compile(catalog);
       const int expected_words = (views + 63) / 64;
       std::vector<uint64_t> got(static_cast<size_t>(expected_words), ~0ULL);
-      WideAtomLabel wide;
       for (int i = 0; i < 40; ++i) {
         const int relation = static_cast<int>(rng.Below(arities.size()));
         const AtomPattern pattern =
@@ -236,18 +253,36 @@ TEST(WideMatcherPropertyTest, MatchesSeedOracleAcrossViewCountBoundaries) {
         matcher.MatchMaskWords(pattern, got.data());
         EXPECT_EQ(got, oracle) << "views=" << views << " trial=" << trial
                                << " pattern " << pattern.Key();
-        // Packed contract unchanged: exactly the low 32 bits.
-        EXPECT_EQ(matcher.MatchMask(pattern),
-                  static_cast<uint32_t>(oracle[0]))
+        // Packed contract: the low word's low 32 bits are the packed
+        // seed guard's mask.
+        EXPECT_EQ(static_cast<uint32_t>(got[0]),
+                  PackedOracle(catalog, pattern))
             << "views=" << views << " pattern " << pattern.Key();
-        // Reusable wide atom: trimmed oracle.
-        matcher.MatchWideAtom(pattern, &wide);
-        std::vector<uint64_t> trimmed = oracle;
-        while (!trimmed.empty() && trimmed.back() == 0) trimmed.pop_back();
-        EXPECT_EQ(wide.relation, pattern.relation);
-        EXPECT_EQ(wide.mask, trimmed) << "views=" << views;
       }
     }
+  }
+}
+
+// The label of `query` against the LabelWide oracle: same ℓ+ bit sets per
+// atom, and packed atoms only for narrow relations, wide atoms only beyond
+// the packed capacity.
+void ExpectMatchesWideOracle(const ViewCatalog& catalog,
+                             const LabelerPipeline& oracle,
+                             const ConjunctiveQuery& query,
+                             const DisclosureLabel& label,
+                             const std::string& where) {
+  const WideLabel wide = oracle.LabelWide(query);
+  EXPECT_EQ(label.top(), wide.top()) << where;
+  EXPECT_EQ(CanonicalAtoms(label), CanonicalAtoms(wide)) << where;
+  for (const PackedAtomLabel& atom : label.atoms()) {
+    EXPECT_LE(catalog.ViewsOfRelation(atom.relation()).size(),
+              static_cast<size_t>(kPackedViewCapacity))
+        << where;
+  }
+  for (const WideAtomLabel& atom : label.wide_atoms()) {
+    EXPECT_GT(catalog.ViewsOfRelation(atom.relation).size(),
+              static_cast<size_t>(kPackedViewCapacity))
+        << where;
   }
 }
 
@@ -260,28 +295,62 @@ TEST(WideMatcherPropertyTest, PipelineLabelsMatchWideOracle) {
     BoundaryCatalog(&rng, &catalog, arities, views);
     LabelingPipeline pipeline(&catalog);
     LabelerPipeline oracle(&catalog);
-    for (int i = 0; i < 60; ++i) {
-      const ConjunctiveQuery query = RandomQuery(&rng, arities);
-      const DisclosureLabel label = pipeline.Label(query);
-      const WideLabel wide = oracle.LabelWide(query);
-      EXPECT_EQ(label.top(), wide.top()) << "views=" << views;
-      EXPECT_EQ(CanonicalAtoms(label), CanonicalAtoms(wide))
-          << "views=" << views << " query " << i;
-      // Representation invariant: packed atoms only for narrow relations,
-      // wide atoms only beyond the packed capacity.
-      for (const PackedAtomLabel& atom : label.atoms()) {
-        EXPECT_LE(catalog.ViewsOfRelation(atom.relation()).size(),
-                  static_cast<size_t>(kPackedViewCapacity));
-      }
-      for (const WideAtomLabel& atom : label.wide_atoms()) {
-        EXPECT_GT(catalog.ViewsOfRelation(atom.relation).size(),
-                  static_cast<size_t>(kPackedViewCapacity));
-      }
+    std::vector<ConjunctiveQuery> pool;
+    for (int i = 0; i < 60; ++i) pool.push_back(RandomQuery(&rng, arities));
+    for (size_t i = 0; i < pool.size(); ++i) {
+      ExpectMatchesWideOracle(
+          catalog, oracle, pool[i], pipeline.Label(pool[i]),
+          "pipeline views=" + std::to_string(views) +
+              " query " + std::to_string(i));
     }
     if (views > kPackedViewCapacity) {
       EXPECT_GT(pipeline.stats().wide_mask_evals, 0u);
     } else {
       EXPECT_EQ(pipeline.stats().wide_mask_evals, 0u);
+    }
+
+    // The engine's labeler over the same catalog, through every tier: a
+    // quarter of the pool is frozen warmup, the interner cap turns most
+    // novel structures stateless, a small publish threshold makes second
+    // passes hit the overlay chunk, and one labeler runs Label while the
+    // other runs both LabelBatch overloads.
+    const std::span<const ConjunctiveQuery> warmup(pool.data(), 15);
+    const auto frozen = engine::FrozenCatalog::Build(&catalog, warmup);
+    engine::ConcurrentLabelerOptions options;
+    options.max_interned_queries = 20;
+    options.overlay_min_publish = 4;
+    engine::ConcurrentLabeler single(frozen, options);
+    engine::ConcurrentLabeler batched(frozen, options);
+    std::vector<const ConjunctiveQuery*> ptrs;
+    for (const ConjunctiveQuery& query : pool) ptrs.push_back(&query);
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::vector<DisclosureLabel> by_span = batched.LabelBatch(pool);
+      const std::vector<DisclosureLabel> by_ptr = batched.LabelBatch(
+          std::span<const ConjunctiveQuery* const>(ptrs));
+      ASSERT_EQ(by_span.size(), pool.size());
+      ASSERT_EQ(by_ptr.size(), pool.size());
+      for (size_t i = 0; i < pool.size(); ++i) {
+        const std::string where = " views=" + std::to_string(views) +
+                                  " pass " + std::to_string(pass) +
+                                  " query " + std::to_string(i);
+        ExpectMatchesWideOracle(catalog, oracle, pool[i],
+                                single.Label(pool[i]), "Label" + where);
+        ExpectMatchesWideOracle(catalog, oracle, pool[i], by_span[i],
+                                "LabelBatch" + where);
+        ExpectMatchesWideOracle(catalog, oracle, pool[i], by_ptr[i],
+                                "LabelBatch(ptrs)" + where);
+      }
+    }
+    for (const engine::ConcurrentLabeler* labeler : {&single, &batched}) {
+      const engine::ConcurrentLabeler::Stats stats = labeler->stats();
+      EXPECT_GT(stats.frozen_hits, 0u) << "views=" << views;
+      EXPECT_GT(stats.overlay_chunk_hits, 0u) << "views=" << views;
+      EXPECT_GT(stats.overlay_misses, 0u) << "views=" << views;
+      EXPECT_GT(stats.stateless_fallbacks, 0u) << "views=" << views;
+      EXPECT_EQ(stats.batch_mask_evals, stats.compiled_mask_evals);
+      if (views > kPackedViewCapacity) {
+        EXPECT_GT(stats.wide_mask_evals, 0u) << "views=" << views;
+      }
     }
   }
 }
@@ -417,16 +486,13 @@ TEST(WideMatcherPropertyTest, WarmWideKernelsAreAllocationFree) {
     const int relation = static_cast<int>(rng.Below(arities.size()));
     patterns.push_back(RandomPattern(&rng, relation, arities[relation]));
   }
-  // Warm: a caller-owned mask buffer sized once to max_mask_words, and a
-  // reusable WideAtomLabel whose vector is grown by the first evaluation.
+  // Warm: a caller-owned mask buffer sized once to max_mask_words.
   std::vector<uint64_t> buffer(
       static_cast<size_t>(matcher.max_mask_words()), 0);
-  WideAtomLabel reused;
   std::vector<std::vector<uint64_t>> expected;
   for (const AtomPattern& pattern : patterns) {
     matcher.MatchMaskWords(pattern, buffer.data());
     expected.push_back(buffer);
-    matcher.MatchWideAtom(pattern, &reused);
   }
 
   g_alloc_count.store(0);
@@ -435,13 +501,11 @@ TEST(WideMatcherPropertyTest, WarmWideKernelsAreAllocationFree) {
     for (size_t i = 0; i < patterns.size(); ++i) {
       matcher.MatchMaskWords(patterns[i], buffer.data());
       ASSERT_EQ(buffer, expected[i]);
-      matcher.MatchWideAtom(patterns[i], &reused);
-      ASSERT_EQ(reused.relation, patterns[i].relation);
     }
   }
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
-      << "warm MatchMaskWords / MatchWideAtom must not allocate";
+      << "warm MatchMaskWords must not allocate";
 }
 
 }  // namespace
