@@ -120,17 +120,15 @@ BENCHMARK(BM_EngineSubmit)
 
 // Overlay-warm throughput on the per-query Submit shape. Unlike the
 // scaling series above, this engine takes NO frozen warmup — every label
-// goes through the dynamic overlay, so the measured tier is the
-// epoch-pinned snapshot load plus the lock-free overlay chunk probe. A
-// manual Explain warm pass (overlay_min_publish=1 publishes per novel
-// label) makes the steady state all warm hits. The epoch_retires counter
-// is lifted into BENCH_hotpath.json by run_benchmarks.sh.
+// goes through the insert-only overlay, so the measured tier is the
+// epoch-pinned snapshot load plus the lock-free overlay probe. A manual
+// Explain warm pass stores every structure, which makes the steady state
+// all warm hits. The epoch_retires counter is lifted into
+// BENCH_hotpath.json by run_benchmarks.sh.
 engine::DisclosureEngine& OverlayWarmEngine() {
   static engine::DisclosureEngine* e = [] {
-    engine::EngineOptions options;
-    options.labeler.overlay_min_publish = 1;
     auto* engine = new engine::DisclosureEngine(
-        /*db=*/nullptr, FacebookEnv::Get().catalog.get(), Policy(), options);
+        /*db=*/nullptr, FacebookEnv::Get().catalog.get(), Policy());
     for (const auto& query : Pool()) (void)engine->Explain(query);
     return engine;
   }();

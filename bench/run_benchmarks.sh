@@ -308,8 +308,8 @@ for series in ("submit_batch", "submit"):
         merged["speedups"][f"engine_scaling/{series}/threads/{n}"] = \
             round(r / one, 2)
 
-# Overlay-warm throughput: per-query Submit served from the dynamic
-# overlay's lock-free chunk instead of the frozen tier. No floor; the
+# Overlay-warm throughput: per-query Submit served from the overlay's
+# lock-free probe instead of the frozen tier. No floor; the
 # series is the baseline for the label-tier work.
 merged["engine_overlay_warm"] = {}
 for n in (1, 2, 4, 8):

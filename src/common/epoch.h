@@ -22,8 +22,8 @@
 // Guards nest: only the outermost Guard per thread pays the fence; inner
 // guards just bump a thread-local depth counter.
 //
-// The engine's snapshot publish and the labeler's overlay chunk both retire
-// through the one process-wide Domain.
+// The engine's snapshot publish and the label tables' slot-array growth
+// both retire through the one process-wide Domain.
 
 #ifndef FDC_COMMON_EPOCH_H_
 #define FDC_COMMON_EPOCH_H_
@@ -113,7 +113,7 @@ class Domain {
   Slot slots_[kMaxSlots];
   std::atomic<size_t> slot_high_water_{0};
 
-  // Retire list: writers are rare (policy swaps, chunk rebuilds), so a mutex
+  // Retire list: writers are rare (policy swaps, table growth), so a mutex
   // here costs nothing on the read path.
   std::atomic<Retired*> retired_head_{nullptr};
   std::atomic<uint64_t> retired_count_{0};

@@ -15,7 +15,7 @@ std::string AtomKey(const Atom& atom,
   std::string key = std::to_string(atom.relation) + "(";
   for (const Term& t : atom.terms) {
     if (t.is_const()) {
-      key += "'" + t.value() + "'";
+      AppendQuotedConstant(&key, t.value());
     } else {
       auto it = renaming.find(t.var());
       const bool dist = t.var() < static_cast<int>(is_distinguished.size()) &&

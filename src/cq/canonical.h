@@ -19,8 +19,9 @@ namespace fdc::cq {
 /// stable atom order, and atoms sorted by their resulting structural key.
 ConjunctiveQuery Canonicalize(const ConjunctiveQuery& query);
 
-/// A stable text key of the canonical form; equal keys imply isomorphic
-/// queries for the shapes we generate (used for hashing and dedup).
+/// A stable text key of the canonical form (constants quoted by
+/// AppendQuotedConstant); equal keys imply equal canonical forms, hence
+/// isomorphic queries (used for hashing and dedup).
 std::string CanonicalKey(const ConjunctiveQuery& query);
 
 /// Renames variables so they occupy dense ids 0..n-1 (first-occurrence

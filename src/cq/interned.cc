@@ -2,21 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 
 namespace fdc::cq {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-uint64_t FnvMix(uint64_t h, uint64_t byte) { return (h ^ byte) * kFnvPrime; }
-
-uint64_t HashBytes(uint64_t h, const std::string& s) {
-  for (unsigned char c : s) h = FnvMix(h, c);
-  return FnvMix(h, 0xff);  // length delimiter
-}
 
 // splitmix64 finalizer: turns a relation id into a well-spread word so the
 // multiset hash (a commutative sum) doesn't collapse for small ids.
@@ -83,34 +72,7 @@ size_t ApproxQueryBytes(const ConjunctiveQuery& query) {
   return bytes;
 }
 
-// Structural hash of a query exactly as written (variable names and atom
-// order sensitive) — the raw-equality fast path's probe key.
-uint64_t HashRawQuery(const ConjunctiveQuery& query) {
-  uint64_t h = kFnvOffset;
-  auto mix_term = [&h](const Term& t) {
-    if (t.is_var()) {
-      h = FnvMix(h, 0x1);
-      h = FnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(t.var())));
-    } else {
-      h = FnvMix(h, 0x2);
-      h = HashBytes(h, t.value());
-    }
-  };
-  for (const Term& t : query.head()) mix_term(t);
-  h = FnvMix(h, 0x3);
-  for (const Atom& atom : query.atoms()) {
-    h = FnvMix(h, static_cast<uint64_t>(static_cast<uint32_t>(atom.relation)));
-    for (const Term& t : atom.terms) mix_term(t);
-    h = FnvMix(h, 0x4);
-  }
-  return h;
-}
-
 }  // namespace
-
-uint64_t QueryInterner::RawHash(const ConjunctiveQuery& query) {
-  return HashRawQuery(query);
-}
 
 QueryInterner::QueryInterner()
     : uid_(g_next_interner_uid.fetch_add(1, std::memory_order_relaxed)) {}
@@ -118,7 +80,7 @@ QueryInterner::QueryInterner()
 const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
                                               size_t max_queries) {
   // Level 1: exact raw form — no canonicalization on hit.
-  const uint64_t raw_hash = HashRawQuery(query);
+  const uint64_t raw_hash = RawHash(query);
   auto raw_it = raw_buckets_.find(raw_hash);
   if (raw_it != raw_buckets_.end()) {
     for (const auto& [raw, id] : raw_it->second) {
@@ -153,7 +115,7 @@ const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
     if (!(canonical == query) && raw_entries_ < kMaxRawEntries &&
         approx_bytes_ < kMaxApproxBytes) {
       approx_bytes_ += ApproxQueryBytes(canonical);
-      raw_buckets_[HashRawQuery(canonical)].emplace_back(canonical, id);
+      raw_buckets_[RawHash(canonical)].emplace_back(canonical, id);
       ++raw_entries_;
     }
   }
@@ -163,25 +125,6 @@ const InternedQuery* QueryInterner::TryIntern(const ConjunctiveQuery& query,
     ++raw_entries_;
   }
   return &queries_[id];
-}
-
-const InternedQuery* QueryInterner::Find(const ConjunctiveQuery& query) const {
-  const uint64_t raw_hash = HashRawQuery(query);
-  auto raw_it = raw_buckets_.find(raw_hash);
-  if (raw_it != raw_buckets_.end()) {
-    for (const auto& [raw, id] : raw_it->second) {
-      if (raw == query) return &queries_[id];
-    }
-  }
-  auto it = query_by_key_.find(CanonicalKey(query));
-  if (it == query_by_key_.end()) return nullptr;
-  return &queries_[it->second];
-}
-
-const InternedQuery& QueryInterner::Intern(const ConjunctiveQuery& query) {
-  const InternedQuery* interned =
-      TryIntern(query, std::numeric_limits<size_t>::max());
-  return *interned;  // never null: no cap
 }
 
 int QueryInterner::InternPattern(const AtomPattern& pattern) {

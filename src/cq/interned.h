@@ -20,16 +20,13 @@
 // shared rewriting::ContainmentCache keys pairwise decisions on.
 //
 // Sharing contract: a QueryInterner is a plain mutable table — mutating
-// calls (Intern/TryIntern/InternPattern) require external synchronization,
-// and the const surface (Find/query/pattern/stats) is only safe concurrently
-// with other const calls. Two supported sharing shapes:
-//   * frozen — build the interner single-threaded, then treat it as
-//     immutable; any number of threads may call the const surface without
-//     locks (engine::FrozenCatalog does exactly this);
-//   * guarded — serialize the mutating calls on a lock and read it only
-//     under that lock (engine::ConcurrentLabeler does this for the dynamic
-//     overlay, and serves warm hits from an immutable copy instead).
-// Use one interner per pipeline family (catalog/universe) either way.
+// calls (TryIntern/InternPattern) require external synchronization, and the
+// const surface (query/pattern/stats) is only safe concurrently with
+// other const calls. Its users (label::LabelingPipeline,
+// rewriting::ContainmentCache's callers, tools and benches) are
+// single-threaded or serialize on a lock of their own; use one interner per
+// pipeline family (catalog/universe). The serving engine does not use it:
+// engine::LabelTable keys labels by query form directly.
 #pragma once
 
 #include <cstdint>
@@ -110,7 +107,7 @@ class QueryInterner {
  public:
   QueryInterner();
 
-  /// Canonicalizes and hash-conses. Queries equal up to variable renaming
+  /// Canonicalizes and hash-conses: queries equal up to variable renaming
   /// and atom order map to the same handle.
   ///
   /// Two-level: a raw-equality table is probed first (apps re-issue
@@ -118,27 +115,18 @@ class QueryInterner {
   /// hash — no canonicalization); only raw misses pay the canonical-key
   /// computation. The raw table is capped at kMaxRawEntries distinct forms;
   /// beyond that, new raw forms still intern correctly but are not added.
-  const InternedQuery& Intern(const ConjunctiveQuery& query);
-
-  /// Bounded variant for untrusted inputs: behaves like Intern, but when
-  /// the query is not already interned and either num_queries() >=
-  /// max_queries or the interner's approximate resident bytes exceed
-  /// kMaxApproxBytes, returns nullptr instead of growing the tables (the
-  /// byte budget matters because one entry stores the raw query, its
-  /// canonical form, and a key string — entry counts alone would let
-  /// few-KB constants pin gigabytes). Known structures keep resolving
-  /// after saturation; only novel ones are turned away, so an adversary
-  /// issuing endless distinct structures cannot grow memory without bound
-  /// (callers fall back to stateless labeling).
+  ///
+  /// Bounded for untrusted inputs: when the query is not already interned
+  /// and either num_queries() >= max_queries or the interner's approximate
+  /// resident bytes exceed kMaxApproxBytes, returns nullptr instead of
+  /// growing the tables (the byte budget matters because one entry stores
+  /// the raw query, its canonical form, and a key string — entry counts
+  /// alone would let few-KB constants pin gigabytes). Known structures keep
+  /// resolving after saturation; only novel ones are turned away, so an
+  /// adversary issuing endless distinct structures cannot grow memory
+  /// without bound (callers fall back to stateless labeling).
   const InternedQuery* TryIntern(const ConjunctiveQuery& query,
                                  size_t max_queries);
-
-  /// Read-only probe: the already-interned handle for `query` (up to
-  /// variable renaming and atom order), or nullptr if it was never
-  /// interned. Touches no table or counter, so concurrent Find calls on a
-  /// frozen interner are race-free; pays the canonical-key computation when
-  /// the raw form misses, exactly like TryIntern's hit path.
-  const InternedQuery* Find(const ConjunctiveQuery& query) const;
 
   /// Hash-conses a normalized single-atom view pattern into a dense id
   /// (independent id space from query ids).
@@ -152,7 +140,8 @@ class QueryInterner {
 
   /// Interns performed vs. canonicalizations avoided, for observability.
   /// raw_hits counts queries resolved by the exact-match level (a subset of
-  /// query_hits); query_hits + query_misses = total Intern calls.
+  /// query_hits); query_hits + query_misses = TryIntern calls that did not
+  /// return nullptr.
   struct Stats {
     uint64_t query_hits = 0;
     uint64_t query_misses = 0;
@@ -170,27 +159,6 @@ class QueryInterner {
   /// Approximate bytes resident in the intern tables.
   size_t approx_bytes() const { return approx_bytes_; }
 
-  /// Structural hash of a query exactly as written (variable names and atom
-  /// order sensitive) — the probe key of the raw-equality level. Exposed so
-  /// external lock-free indexes (the labeler's epoch-swapped overlay chunk)
-  /// can probe with bit-identical hashing.
-  static uint64_t RawHash(const ConjunctiveQuery& query);
-
-  /// Enumerate the raw-equality table: fn(raw form, interned query id).
-  /// Const-surface sharing rules apply (safe on a frozen/guarded interner).
-  template <typename Fn>
-  void ForEachRawEntry(Fn&& fn) const {
-    for (const auto& [hash, bucket] : raw_buckets_) {
-      for (const auto& [raw, id] : bucket) fn(raw, id);
-    }
-  }
-
-  /// Enumerate the canonical-key table: fn(canonical key, interned query id).
-  template <typename Fn>
-  void ForEachCanonicalKey(Fn&& fn) const {
-    for (const auto& [key, id] : query_by_key_) fn(key, id);
-  }
-
   static constexpr size_t kMaxRawEntries = 1 << 20;
   static constexpr size_t kMaxApproxBytes = size_t{256} << 20;  // 256 MB
 
@@ -200,8 +168,8 @@ class QueryInterner {
   std::deque<AtomPattern> patterns_;
   std::unordered_map<std::string, int> query_by_key_;
   std::unordered_map<std::string, int> pattern_by_key_;
-  // Raw-equality fast path: structural hash -> (raw query, interned id)
-  // bucket, verified by exact comparison.
+  // Raw-equality fast path: RawHash -> (raw query, interned id) bucket,
+  // verified by exact comparison.
   std::unordered_map<uint64_t, std::vector<std::pair<ConjunctiveQuery, int>>>
       raw_buckets_;
   size_t raw_entries_ = 0;

@@ -118,7 +118,7 @@ std::string AtomPattern::Key() const {
     if (i > 0) out += ",";
     const PatTerm& pt = terms[i];
     if (pt.is_const) {
-      out += "'" + pt.value + "'";
+      AppendQuotedConstant(&out, pt.value);
     } else {
       out += "#" + std::to_string(pt.cls) + (pt.distinguished ? "d" : "e");
     }

@@ -69,8 +69,9 @@ struct AtomPattern {
   /// True iff some class is distinguished.
   bool HasDistinguished() const;
 
-  /// A stable text encoding, e.g. "R(#0d, #0d, 'x', #1e)"; used for hashing,
-  /// ordering and debug output.
+  /// A stable text encoding, e.g. "R3(#0d,#0d,'x',#1e)", with constants
+  /// quoted by AppendQuotedConstant so equal keys imply equal patterns;
+  /// used for hashing, dedupe, ordering and debug output.
   std::string Key() const;
 
   bool operator==(const AtomPattern& other) const {

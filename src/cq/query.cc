@@ -109,6 +109,29 @@ ConjunctiveQuery ConjunctiveQuery::WithAtomSubset(
   return ConjunctiveQuery(name_, head_, std::move(kept));
 }
 
+uint64_t RawHash(const ConjunctiveQuery& query) {
+  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over a tagged term stream
+  auto mix = [&h](uint64_t byte) { h = (h ^ byte) * 0x100000001b3ULL; };
+  auto mix_term = [&mix](const Term& t) {
+    if (t.is_var()) {
+      mix(0x1);
+      mix(static_cast<uint64_t>(static_cast<uint32_t>(t.var())));
+    } else {
+      mix(0x2);
+      for (unsigned char c : t.value()) mix(c);
+      mix(0xff);  // length delimiter
+    }
+  };
+  for (const Term& t : query.head()) mix_term(t);
+  mix(0x3);
+  for (const Atom& atom : query.atoms()) {
+    mix(static_cast<uint64_t>(static_cast<uint32_t>(atom.relation)));
+    for (const Term& t : atom.terms) mix_term(t);
+    mix(0x4);
+  }
+  return h;
+}
+
 ConjunctiveQuery ConjunctiveQuery::Substitute(
     const std::vector<Term>& mapping) const {
   auto apply = [&](const Term& t) -> Term {

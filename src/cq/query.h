@@ -7,6 +7,7 @@
 // set, which is exactly the §5 representation.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -91,5 +92,11 @@ class ConjunctiveQuery {
   int max_var_ = -1;
   std::vector<bool> distinguished_;  // indexed by variable id
 };
+
+/// Structural hash of a query exactly as written: variable ids and atom
+/// order count, the name does not, so equal queries (operator==) hash
+/// equal. The probe key of every exact-form table (QueryInterner's raw
+/// level, the engine's LabelTable).
+uint64_t RawHash(const ConjunctiveQuery& query);
 
 }  // namespace fdc::cq

@@ -58,6 +58,20 @@ class Term {
   std::string value_;
 };
 
+/// Appends constant `value` to a structural key as 'value', escaping every
+/// backslash and quote with a backslash. A key reader can then always find
+/// where a constant ends, so no constant can pass for the separators around
+/// it (two different atoms never print the same key); constants without
+/// either character print unchanged.
+inline void AppendQuotedConstant(std::string* key, const std::string& value) {
+  key->push_back('\'');
+  for (const char c : value) {
+    if (c == '\\' || c == '\'') key->push_back('\\');
+    key->push_back(c);
+  }
+  key->push_back('\'');
+}
+
 }  // namespace fdc::cq
 
 namespace std {

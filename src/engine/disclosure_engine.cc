@@ -388,7 +388,6 @@ DisclosureEngine::EngineStats DisclosureEngine::Stats() const {
   stats.refused = refused_.load(std::memory_order_relaxed);
   stats.submitted = stats.accepted + stats.refused;
   stats.labeler = labeler_.stats();
-  stats.interner = labeler_.interner_stats();
   stats.fold_scratch_reuses = rewriting::FoldScratchReuses();
   stats.ebr = epoch::Domain::Instance().Stats();
   {

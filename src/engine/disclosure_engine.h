@@ -6,11 +6,11 @@
 // ReferenceMonitor/GuardedDatabase path (property-tested) — but the state
 // behind it is restructured into three tiers:
 //
-//   1. frozen shared state (engine/snapshot.h): the interned view catalog,
-//      precomputed view labels, the rewriting-order closure, and a frozen
-//      warmup label table, built once and read lock-free;
-//   2. sharded concurrency: the dynamic labeling overlay, whose warm hits
-//      are lock-free chunk probes (engine/labeler.h), and per-principal
+//   1. frozen shared state (engine/snapshot.h): the compiled view catalog,
+//      a frozen label table of view and warmup labels, and the
+//      rewriting-order closure, built once and read lock-free;
+//   2. sharded concurrency: the insert-only labeling overlay, whose warm
+//      hits are lock-free table probes (engine/labeler.h), and per-principal
 //      monitor state in a sharded open-addressed map
 //      (engine/principal_map.h) — Submit / SubmitBatch from N threads on
 //      distinct principals touch disjoint shard locks and never serialize
@@ -228,7 +228,6 @@ class DisclosureEngine {
     uint64_t accepted = 0;
     uint64_t refused = 0;
     ConcurrentLabeler::Stats labeler;
-    cq::QueryInterner::Stats interner;  // dynamic overlay interner
     /// Folding's atom-drop hom searches served by a warm thread-local
     /// scratch arena. Process-wide (rewriting::FoldScratchReuses), not
     /// per-engine: it counts every consumer in the process.

@@ -1,5 +1,8 @@
 #include "engine/snapshot.h"
 
+#include <utility>
+
+#include "cq/canonical.h"
 #include "label/batch_label.h"
 #include "rewriting/atom_rewriting.h"
 
@@ -14,31 +17,44 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
   frozen->dissect_options_ = dissect_options;
   frozen->matcher_ = label::CompiledCatalogMatcher::Compile(*catalog);
 
-  // Intern the views' defining queries and the warmup pool into the frozen
-  // interner once (so their ids land in the id space FindLabel probes),
-  // then label every distinct structure in one batch-kernel call — the
-  // kernel the serving tiers run, over the matcher they evaluate.
+  // Canonicalize the views' defining queries and the warmup pool once,
+  // label them in one batch-kernel call — the kernel the serving tiers
+  // run, over the matcher they evaluate — and store each structure's label
+  // once, under its canonical form and every raw form it came as.
   const int n = catalog->size();
-  frozen->view_query_ids_.reserve(static_cast<size_t>(n));
+  std::vector<cq::ConjunctiveQuery> canonical;  // views, then warmup
+  canonical.reserve(static_cast<size_t>(n) + warmup.size());
   for (int v = 0; v < n; ++v) {
-    frozen->view_query_ids_.push_back(
-        frozen->interner_.Intern(catalog->view(v).pattern.ToQuery("V")).id());
+    canonical.push_back(
+        cq::Canonicalize(catalog->view(v).pattern.ToQuery("V")));
   }
   for (const cq::ConjunctiveQuery& query : warmup) {
-    frozen->interner_.Intern(query);
+    canonical.push_back(cq::Canonicalize(query));
   }
-  const int distinct = frozen->interner_.num_queries();
-  std::vector<const cq::ConjunctiveQuery*> structures;
-  structures.reserve(static_cast<size_t>(distinct));
-  for (int id = 0; id < distinct; ++id) {
-    structures.push_back(&frozen->interner_.query(id).query());
-  }
+  std::vector<const cq::ConjunctiveQuery*> batch;
+  batch.reserve(canonical.size());
+  for (const cq::ConjunctiveQuery& query : canonical) batch.push_back(&query);
+  std::vector<label::DisclosureLabel> labels;
   label::BatchLabelScratch scratch;
   label::BatchLabelCounters counters;
-  label::LabelQueriesBatched(
-      frozen->matcher_, dissect_options,
-      std::span<const cq::ConjunctiveQuery* const>(structures), &scratch,
-      &frozen->labels_, &counters);
+  label::LabelQueriesBatched(frozen->matcher_, dissect_options,
+                             std::span<const cq::ConjunctiveQuery* const>(batch),
+                             &scratch, &labels, &counters);
+  LabelTable& table = frozen->labels_;
+  auto store = [&](size_t i, const cq::ConjunctiveQuery& raw) {
+    const uint64_t hash = cq::RawHash(canonical[i]);
+    const label::DisclosureLabel* stored = table.Find(hash, canonical[i]);
+    if (stored == nullptr) {
+      stored = table.Insert(hash, canonical[i], std::move(labels[i]));
+    }
+    const uint64_t raw_hash = cq::RawHash(raw);
+    if (table.Find(raw_hash, raw) == nullptr) table.Alias(raw_hash, raw, stored);
+    return stored;
+  };
+  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+    frozen->view_labels_.push_back(store(v, canonical[v]));
+  }
+  for (size_t i = 0; i < warmup.size(); ++i) store(n + i, warmup[i]);
 
   // Rewriting-order closure over catalog views: one bit per ordered pair.
   // O(n²) AtomRewritable calls at build time — fine for real catalogs
@@ -60,13 +76,6 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
   }
 
   return frozen;
-}
-
-const label::DisclosureLabel* FrozenCatalog::FindLabel(
-    const cq::ConjunctiveQuery& query) const {
-  const cq::InternedQuery* interned = interner_.Find(query);
-  if (interned == nullptr) return nullptr;
-  return &labels_[static_cast<size_t>(interned->id())];
 }
 
 }  // namespace fdc::engine

@@ -5,13 +5,12 @@
 // anything shared and immutable:
 //
 //   * FrozenCatalog: everything derivable from the view catalog alone,
-//     built once single-threaded and then immutable. Holds the interned
-//     view catalog (every view pattern hash-consed into a frozen
-//     QueryInterner), each view's own precomputed disclosure label, the
-//     rewriting-order closure over catalog views ({v} ⪯ {w} for every
-//     pair), and an optional frozen warmup tier: whole-query labels for a
-//     representative workload, looked up lock-free before the engine's
-//     mutable overlay is consulted.
+//     built once single-threaded and then immutable. Holds the compiled
+//     matcher, a frozen LabelTable with each view's own disclosure label
+//     and an optional warmup tier (whole-query labels for a representative
+//     workload, looked up lock-free before the engine's overlay is
+//     consulted), and the rewriting-order closure over catalog views
+//     ({v} ⪯ {w} for every pair).
 //
 //   * EngineSnapshot: one *policy epoch* — a FrozenCatalog plus a compiled
 //     SecurityPolicy and a monotonically increasing epoch id. Snapshots are
@@ -30,8 +29,8 @@
 #include <span>
 #include <vector>
 
-#include "cq/interned.h"
 #include "cq/query.h"
+#include "engine/label_table.h"
 #include "label/compiled_matcher.h"
 #include "label/compressed_label.h"
 #include "label/dissect.h"
@@ -43,12 +42,13 @@ namespace fdc::engine {
 class FrozenCatalog {
  public:
   /// Builds the frozen tier: compiles the catalog's matcher automaton
-  /// (label::CompiledCatalogMatcher), interns each view's defining query and
-  /// every `warmup` query into the frozen interner, labels each distinct
-  /// structure in one label::LabelQueriesBatched call, and closes the
-  /// single-atom rewriting order over the catalog. Single-threaded; the
-  /// result is immutable and every const method below is safe from any
-  /// number of threads without locks.
+  /// (label::CompiledCatalogMatcher), canonicalizes each view's defining
+  /// query and every `warmup` query once, labels them in one
+  /// label::LabelQueriesBatched call, stores each structure's label once in
+  /// the frozen LabelTable under its canonical form and the raw forms it
+  /// came as, and closes the single-atom rewriting order over the catalog.
+  /// Single-threaded; the result is immutable and every const method below
+  /// is safe from any number of threads without locks.
   static std::shared_ptr<const FrozenCatalog> Build(
       const label::ViewCatalog* catalog,
       std::span<const cq::ConjunctiveQuery> warmup = {},
@@ -66,13 +66,9 @@ class FrozenCatalog {
   /// packed 32-view capacity), fixed when this catalog froze.
   const label::CompiledCatalogMatcher& matcher() const { return matcher_; }
 
-  /// Largest per-relation mask word count in the compiled matcher: 1 for
-  /// packed-only catalogs, more when some relation carries > 64 views.
-  int max_mask_words() const { return matcher_.max_mask_words(); }
-
   /// Disclosure label of view `id`'s own defining query.
   const label::DisclosureLabel& ViewLabel(int id) const {
-    return labels_[static_cast<size_t>(view_query_ids_[id])];
+    return *view_labels_[static_cast<size_t>(id)];
   }
 
   /// Rewriting-order closure bit: {view v} ⪯ {view w} (single-atom
@@ -84,13 +80,12 @@ class FrozenCatalog {
            1;
   }
 
-  /// Frozen warmup label for `query` (up to renaming/atom order), or
-  /// nullptr if the structure was not in the warmup set. Lock-free.
-  const label::DisclosureLabel* FindLabel(
-      const cq::ConjunctiveQuery& query) const;
+  /// The frozen label table: every view's and warmup query's label under
+  /// its canonical and raw forms. It no longer changes once Build returns,
+  /// so its Find needs no epoch::Guard.
+  const LabelTable& labels() const { return labels_; }
 
-  int num_views() const { return catalog_->size(); }
-  size_t num_frozen_labels() const { return labels_.size(); }
+  size_t num_frozen_labels() const { return labels_.structures(); }
 
  private:
   FrozenCatalog() = default;
@@ -98,9 +93,8 @@ class FrozenCatalog {
   const label::ViewCatalog* catalog_ = nullptr;
   label::DissectOptions dissect_options_;
   label::CompiledCatalogMatcher matcher_;  // frozen after Build
-  cq::QueryInterner interner_;  // frozen after Build; const reads only
-  std::vector<label::DisclosureLabel> labels_;  // by frozen interned id
-  std::vector<int> view_query_ids_;  // interned id of each view's query
+  LabelTable labels_;  // frozen after Build
+  std::vector<const label::DisclosureLabel*> view_labels_;  // in labels_
   std::vector<uint64_t> closure_;  // row-major bitset, stride in words
   size_t closure_stride_ = 0;
 };

@@ -199,15 +199,8 @@ std::string StatsToJson(const DisclosureEngine::EngineStats& stats,
   w.Field("per_view_tests_avoided", stats.labeler.per_view_tests_avoided);
   w.Field("overlay_chunk_hits", stats.labeler.overlay_chunk_hits);
   w.Field("overlay_chunk_publishes", stats.labeler.overlay_chunk_publishes);
-  w.Field("overlay_chunk_entries", stats.labeler.overlay_chunk_entries);
-  w.EndObject();
-
-  w.BeginObject("interner");
-  w.Field("query_hits", stats.interner.query_hits);
-  w.Field("query_misses", stats.interner.query_misses);
-  w.Field("raw_hits", stats.interner.raw_hits);
-  w.Field("pattern_hits", stats.interner.pattern_hits);
-  w.Field("pattern_misses", stats.interner.pattern_misses);
+  w.Field("overlay_structures", stats.labeler.overlay_structures);
+  w.Field("overlay_bytes", stats.labeler.overlay_bytes);
   w.EndObject();
 
   w.Field("fold_scratch_reuses", stats.fold_scratch_reuses);

@@ -15,9 +15,8 @@
 //      ..., "stateless_fallbacks": ..., "compiled_mask_evals": ...,
 //      "wide_mask_evals": ..., "batch_mask_evals": ...,
 //      "per_view_tests_avoided": ..., "overlay_chunk_hits": ...,
-//      "overlay_chunk_publishes": ..., "overlay_chunk_entries": ...},
-//    "interner": {"query_hits": ..., "query_misses": ..., "raw_hits": ...,
-//      "pattern_hits": ..., "pattern_misses": ...},
+//      "overlay_chunk_publishes": ..., "overlay_structures": ...,
+//      "overlay_bytes": ...},
 //    "fold_scratch_reuses": ...,
 //    "ebr": {"epoch": ..., "retired": ..., "freed": ..., "pending": ...,
 //      "advances": ...},

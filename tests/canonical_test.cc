@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.h"
+#include "cq/pattern.h"
 #include "test_util.h"
 
 namespace fdc::cq {
@@ -70,6 +76,79 @@ TEST_F(CanonicalTest, CanonicalizeIsIdempotent) {
   ConjunctiveQuery once = Canonicalize(q);
   ConjunctiveQuery twice = Canonicalize(once);
   EXPECT_EQ(once, twice);
+}
+
+TEST_F(CanonicalTest, PrintsQuotesAndBackslashesEscaped) {
+  const ConjunctiveQuery q(
+      "Q", {}, {Atom(0, {Term::Const("it's"), Term::Const("a\\b")})});
+  EXPECT_EQ(CanonicalKey(q), "0('it\\'s','a\\\\b',);");
+  EXPECT_EQ(CanonicalKey(test::Q("Q(x) :- Meetings(x, 'Cathy')", schema_)),
+            "0(v0d,'Cathy',);");
+}
+
+// Keys quote constants unambiguously. Over constants drawn from an alphabet
+// of the keys' own punctuation (' \ , ( ) ;), equal CanonicalKeys imply
+// equal canonical forms, and equal AtomPattern keys imply equal patterns.
+// Printed unescaped, C("a','b", 'c') and C('a', "b','c") shared both keys.
+TEST(KeyQuotingPropertyTest, EqualKeysImplyEqualForms) {
+  // Quote and comma are drawn most often: together they build the
+  // separator a constant would have to forge.
+  static constexpr char kAlphabet[] = {'\'', '\'', ',', ',', '\\',
+                                       '(',  ')',  ';', 'a'};
+  Rng rng(0x9e70'0001);
+  auto constant = [&] {
+    std::string value;
+    for (uint64_t n = rng.Below(4); n > 0; --n) {
+      value.push_back(kAlphabet[rng.Below(sizeof(kAlphabet))]);
+    }
+    return Term::Const(std::move(value));
+  };
+  std::unordered_map<std::string, ConjunctiveQuery> canonical_by_key;
+  std::unordered_map<std::string, AtomPattern> pattern_by_key;
+  size_t query_repeats = 0, pattern_repeats = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<Atom> atoms;
+    std::vector<bool> used(3, false);
+    for (uint64_t a = 1 + rng.Below(2); a > 0; --a) {
+      const int arity = rng.Chance(0.8) ? 2 : 1;  // relations 0 and 1
+      std::vector<Term> terms;
+      for (int p = 0; p < arity; ++p) {
+        if (rng.Chance(0.75)) {
+          terms.push_back(constant());
+        } else {
+          const int v = static_cast<int>(rng.Below(3));
+          used[v] = true;
+          terms.push_back(Term::Var(v));
+        }
+      }
+      atoms.emplace_back(arity == 2 ? 0 : 1, std::move(terms));
+    }
+    std::vector<Term> head;
+    for (int v = 0; v < 3; ++v) {
+      if (used[v] && rng.Chance(0.5)) head.push_back(Term::Var(v));
+    }
+    const ConjunctiveQuery query("Q", std::move(head), std::move(atoms));
+    const ConjunctiveQuery canonical = Canonicalize(query);
+    const auto [known, fresh] =
+        canonical_by_key.emplace(CanonicalKey(query), canonical);
+    if (!fresh) {
+      ++query_repeats;
+      EXPECT_TRUE(known->second == canonical) << known->first;
+    }
+    std::vector<bool> distinguished(3, false);
+    for (int v : query.DistinguishedVars()) distinguished[v] = true;
+    for (const Atom& atom : query.atoms()) {
+      const AtomPattern pattern = AtomPattern::FromAtom(atom, distinguished);
+      const auto [seen, first] = pattern_by_key.emplace(pattern.Key(), pattern);
+      if (!first) {
+        ++pattern_repeats;
+        EXPECT_TRUE(seen->second == pattern) << seen->first;
+      }
+    }
+  }
+  // Repeats are what the implications are checked on.
+  EXPECT_GT(query_repeats, 100u);
+  EXPECT_GT(pattern_repeats, 100u);
 }
 
 }  // namespace

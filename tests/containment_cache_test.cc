@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <climits>
+#include <cstdint>
 #include <thread>
 
 #include "order/rewriting_order.h"
@@ -118,12 +119,14 @@ TEST(ContainmentCacheTest, ContainedMatchesUncachedContainment) {
   for (const auto& a : queries) {
     for (const auto& b : queries) {
       const bool expected = IsContainedIn(a, b);
-      const cq::InternedQuery& ia = interner.Intern(a);
-      const cq::InternedQuery& ib = interner.Intern(b);
-      EXPECT_EQ(cache.Contained(ia, ib), expected);
+      const cq::InternedQuery* ia = interner.TryIntern(a, SIZE_MAX);
+      const cq::InternedQuery* ib = interner.TryIntern(b, SIZE_MAX);
+      ASSERT_NE(ia, nullptr);
+      ASSERT_NE(ib, nullptr);
+      EXPECT_EQ(cache.Contained(*ia, *ib), expected);
       // Second call must hit.
       const uint64_t hits_before = cache.stats().hits;
-      EXPECT_EQ(cache.Contained(ia, ib), expected);
+      EXPECT_EQ(cache.Contained(*ia, *ib), expected);
       EXPECT_GT(cache.stats().hits, hits_before);
     }
   }

@@ -13,12 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/epoch.h"
 #include "common/locks.h"
+#include "common/rng.h"
+#include "cq/canonical.h"
+#include "engine/label_table.h"
 #include "engine/principal_map.h"
 
 #include "fb/fb_schema.h"
@@ -342,9 +348,8 @@ TEST(EngineConcurrencyTest, SamePrincipalSubmitsAreAValidSerialization) {
 // EBR stress: readers label warm AND novel queries through
 // Submit/SubmitBatch/SubmitCoalesced while a writer loop churns every
 // retire source at once — UpdatePolicy (snapshot retire), SetShadowPolicy/
-// ClearShadowPolicy (shadow snapshot retire), overlay growth with
-// overlay_min_publish=1 (chunk swap + retire on nearly every novel label),
-// and SweepPrincipals. Run under TSan and ASan by CI; a use-after-retire
+// ClearShadowPolicy (shadow snapshot retire), overlay growth (slot-array
+// publish + retire as novel labels accumulate), and SweepPrincipals. Run under TSan and ASan by CI; a use-after-retire
 // would surface there, and decision-counter balance is checked here.
 TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   FbFixture fb;
@@ -355,12 +360,11 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
   policy::SecurityPolicy shadow =
       workload::PolicyGenerator(&fb.catalog, {}, 0xebefULL).Next();
   const auto warm_pool = RandomWorkload(&fb.schema, 2, 64, 0x600dULL);
-  // Disjoint per-thread novel slices: every novel label grows the overlay
-  // and (with min_publish=1) swaps + retires an overlay chunk.
+  // Disjoint per-thread novel slices: every novel label grows the overlay,
+  // whose slot array is republished and retired as it doubles.
   const auto novel_pool = RandomWorkload(&fb.schema, 2, 512, 0xbadcab1eULL);
 
   EngineOptions options;
-  options.labeler.overlay_min_publish = 1;
   options.principals.shards = 4;
   options.principals.max_principals = 16;
   options.principals.idle_ttl_ticks = 1;
@@ -378,7 +382,7 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
       const size_t novel_end = novel_at + novel_pool.size() / kThreads;
       auto next_query = [&]() -> const cq::ConjunctiveQuery& {
         // ~1 in 4 submissions is novel until the slice runs dry; the rest
-        // stay warm so chunk hits and chunk swaps interleave constantly.
+        // stay warm so overlay hits and slot-array swaps interleave.
         if (novel_at < novel_end && rng.Chance(0.25)) {
           return novel_pool[novel_at++];
         }
@@ -446,8 +450,8 @@ TEST(EngineConcurrencyTest, EbrReadersRaceRetiresAcrossAllLayers) {
 // decision identical to the single-threaded seed path
 // (label::LabelingPipeline + policy::ReferenceMonitor). One randomized
 // stream — singles, batches, coalesced cross-principal groups, policy
-// swaps, shadow set/clear, and overlay_min_publish = 1 so the lock-free
-// chunk tier serves most warm hits — runs through the engine and through
+// swaps, shadow set/clear, with the lock-free overlay probe serving most
+// warm hits — runs through the engine and through
 // the oracle. Live states restart at each live epoch; shadow states
 // restart at each SetShadowPolicy and persist across live swaps, exactly
 // like the engine's separate shadow state map. Every decision, every
@@ -464,7 +468,6 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchSeedPathOracle) {
   const auto pool = RandomWorkload(&fb.schema, 2, 256, 0xd1f04ULL);
 
   EngineOptions options;
-  options.labeler.overlay_min_publish = 1;  // exercise the chunk path
   DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy_a, options);
 
   constexpr int kPrincipals = 6;
@@ -571,8 +574,92 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchSeedPathOracle) {
   EXPECT_GT(refused, 0u);
   EXPECT_GT(agree + stricter + looser, 0u);
   // The differential is only meaningful if the engine actually served
-  // from the lock-free chunk tier.
+  // from the lock-free overlay probe.
   EXPECT_GT(stats.labeler.overlay_chunk_hits, 0u);
+}
+
+// LabelTable's concurrency contract (engine/label_table.h): reader threads
+// probe lock-free under an epoch::Guard while one writer, holding the
+// owner's mutex, inserts distinct structures — each under its canonical
+// form plus its raw form — through several slot-array growths. A probe of
+// a structure published before the probe began must hit, and every hit
+// must equal the per-view seed labeler's label (LabelerPipeline::
+// LabelPacked). CI runs this under TSan.
+TEST(EngineConcurrencyTest, LabelTableReadersRaceGrowth) {
+  FbFixture fb;
+  const label::LabelerPipeline seed(&fb.catalog);
+  std::vector<cq::ConjunctiveQuery> raw, canonical;
+  std::vector<label::DisclosureLabel> expected;
+  std::set<std::string> keys;
+  for (const cq::ConjunctiveQuery& query :
+       RandomWorkload(&fb.schema, 2, 600, 0x7ab1e'0001ULL)) {
+    if (!keys.insert(cq::CanonicalKey(query)).second) continue;
+    raw.push_back(query);
+    canonical.push_back(cq::Canonicalize(query));
+    expected.push_back(seed.LabelPacked(query));
+  }
+  ASSERT_GT(raw.size(), 200u);
+
+  constexpr int kReaders = 3;
+  LabelTable table;
+  std::mutex mu;  // the owner's writer mutex
+  std::atomic<size_t> published{0};
+  std::atomic<int> started{0};
+  std::thread writer([&] {
+    while (started.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
+    for (size_t i = 0; i < raw.size(); ++i) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        const label::DisclosureLabel* stored = table.Insert(
+            cq::RawHash(canonical[i]), canonical[i], expected[i]);
+        if (!(raw[i] == canonical[i])) {
+          table.Alias(cq::RawHash(raw[i]), raw[i], stored);
+        }
+      }
+      published.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::atomic<uint64_t> hits{0}, lost{0}, wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(0x7ab1e'0100ULL + t);
+      started.fetch_add(1, std::memory_order_release);
+      for (size_t done = 0; done < raw.size();) {
+        done = published.load(std::memory_order_acquire);
+        const size_t i = rng.Below(raw.size());
+        const cq::ConjunctiveQuery& form =
+            rng.Chance(0.5) ? raw[i] : canonical[i];
+        epoch::Guard guard;
+        const label::DisclosureLabel* hit =
+            table.Find(cq::RawHash(form), form);
+        if (hit == nullptr) {
+          if (i < done) lost.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        hits.fetch_add(1, std::memory_order_relaxed);
+        if (!(*hit == expected[i])) wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(lost.load(), 0u) << "a published structure was not found";
+  EXPECT_EQ(wrong.load(), 0u) << "a probe returned another structure's label";
+  EXPECT_GT(hits.load(), 0u);
+  EXPECT_GE(table.publishes(), 4u) << "too few slot-array growths raced";
+  EXPECT_EQ(table.structures(), raw.size());
+  for (size_t i = 0; i < raw.size(); ++i) {
+    for (const cq::ConjunctiveQuery* form : {&raw[i], &canonical[i]}) {
+      const label::DisclosureLabel* hit =
+          table.Find(cq::RawHash(*form), *form);
+      ASSERT_NE(hit, nullptr) << "structure " << i;
+      EXPECT_EQ(*hit, expected[i]) << "structure " << i;
+    }
+  }
 }
 
 // The acceptance property of the wait-free read path: warm-path Submit /
@@ -605,20 +692,25 @@ TEST(EngineConcurrencyTest, WarmPathTakesZeroReaderLocksUnderEbr) {
                            &decisions);
   };
 
-  // With overlay_min_publish=1 every novel label publishes a fresh chunk,
-  // so after one warm pass the entire pool is chunk-resident and the
-  // measured pass is pure lock-free tier for labeling AND an epoch-pinned
-  // raw-pointer load for the snapshot.
-  EngineOptions options;
-  options.labeler.overlay_min_publish = 1;
-  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy, options);
-  run_warm_traffic(engine);  // warm-up pass (takes writer locks: uncounted)
+  // Every novel label is stored as the warm-up pass computes it, so the
+  // measured pass is pure lock-free probing for labeling AND an
+  // epoch-pinned raw-pointer load for the snapshot.
+  DisclosureEngine engine(/*db=*/nullptr, &fb.catalog, policy);
+  run_warm_traffic(engine);  // warm-up pass (takes the writer mutex)
+  const ConcurrentLabeler::Stats warm = engine.Stats().labeler;
   const uint64_t before = locks::ReaderLockAcquisitions();
   run_warm_traffic(engine);
   const uint64_t after = locks::ReaderLockAcquisitions();
   EXPECT_EQ(after - before, 0u)
       << "warm path took reader-side lock acquisitions";
-  EXPECT_GT(engine.Stats().labeler.overlay_chunk_hits, 0u);
+  // The labeler's mutex is only taken exclusively, so the counter above
+  // cannot see a warm request falling through to the write side; these
+  // can: no novel label and no write-side ("locked") overlay hit.
+  const ConcurrentLabeler::Stats measured = engine.Stats().labeler;
+  EXPECT_GT(measured.overlay_chunk_hits, warm.overlay_chunk_hits);
+  EXPECT_EQ(measured.overlay_misses, warm.overlay_misses);
+  EXPECT_EQ(measured.overlay_hits - measured.overlay_chunk_hits,
+            warm.overlay_hits - warm.overlay_chunk_hits);
 
   // Liveness: the control-plane snapshot read is a counted shared lock.
   EXPECT_NE(engine.Snapshot(), nullptr);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <span>
 #include <string>
@@ -61,41 +62,39 @@ TEST(EngineEquivalenceTest, LabelsMatchSeedPipeline) {
 
 // One query driven through ConcurrentLabeler::Label into each tier moves
 // exactly the counter perfbench's traced replay classifies it by: frozen
-// → frozen_hits, chunk → overlay_chunk_hits, stale memo → overlay_hits
-// beyond the chunk hits ("locked"), novel → overlay_misses, saturated →
-// stateless_fallbacks. No step publishes a chunk, which the replay would
-// classify first.
+// → frozen_hits, overlay → overlay_chunk_hits (the lock-free overlay
+// probe), novel → overlay_misses, saturated → stateless_fallbacks. No step
+// is a write-side overlay hit ("locked") or grows the overlay's slot array
+// (a publish, which the replay would classify first).
 TEST(EngineEquivalenceTest, EachLabelTierMovesOnlyItsReplayCounter) {
   FbFixture fb;
-  // Five distinct structures, none of them a catalog view's own query.
+  // Four distinct structures, none of them a catalog view's own query.
   std::vector<cq::ConjunctiveQuery> picked;
   {
     const auto views_only = FrozenCatalog::Build(&fb.catalog);
     std::set<std::string> keys;
     for (const cq::ConjunctiveQuery& query :
          RandomWorkload(&fb.schema, 2, 64, 0x7e1e'5ULL)) {
-      if (views_only->FindLabel(query) == nullptr &&
+      const cq::ConjunctiveQuery canonical = cq::Canonicalize(query);
+      if (views_only->labels().Find(cq::RawHash(canonical), canonical) ==
+              nullptr &&
           keys.insert(cq::CanonicalKey(query)).second) {
         picked.push_back(query);
       }
-      if (picked.size() == 5) break;
+      if (picked.size() == 4) break;
     }
   }
-  ASSERT_EQ(picked.size(), 5u);
+  ASSERT_EQ(picked.size(), 4u);
   const cq::ConjunctiveQuery& frozen_q = picked[0];
-  const cq::ConjunctiveQuery& chunk_q = picked[1];
-  const cq::ConjunctiveQuery& memo_q = picked[2];
-  const cq::ConjunctiveQuery& novel_q = picked[3];
-  const cq::ConjunctiveQuery& stateless_q = picked[4];
+  const cq::ConjunctiveQuery& overlay_q = picked[1];
+  const cq::ConjunctiveQuery& novel_q = picked[2];
+  const cq::ConjunctiveQuery& stateless_q = picked[3];
 
   ConcurrentLabeler::Options options;
-  options.max_interned_queries = 3;       // chunk_q, memo_q, novel_q
-  options.overlay_min_publish = 1 << 20;  // publish only when asked
+  options.max_interned_queries = 2;  // overlay_q, novel_q
   ConcurrentLabeler labeler(
       FrozenCatalog::Build(&fb.catalog, std::span(&frozen_q, 1)), options);
-  (void)labeler.Label(chunk_q);
-  labeler.PublishOverlayChunk();
-  (void)labeler.Label(memo_q);  // memoized after the publish: stale chunk
+  (void)labeler.Label(overlay_q);
 
   struct Moved {
     uint64_t frozen, chunk, locked, novel, stateless, publishes;
@@ -116,10 +115,113 @@ TEST(EngineEquivalenceTest, EachLabelTierMovesOnlyItsReplayCounter) {
                  a.overlay_chunk_publishes - b.overlay_chunk_publishes};
   };
   EXPECT_EQ(label_and_diff(frozen_q), (Moved{1, 0, 0, 0, 0, 0}));
-  EXPECT_EQ(label_and_diff(chunk_q), (Moved{0, 1, 0, 0, 0, 0}));
-  EXPECT_EQ(label_and_diff(memo_q), (Moved{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(label_and_diff(overlay_q), (Moved{0, 1, 0, 0, 0, 0}));
   EXPECT_EQ(label_and_diff(novel_q), (Moved{0, 0, 0, 1, 0, 0}));
   EXPECT_EQ(label_and_diff(stateless_q), (Moved{0, 0, 0, 0, 1, 0}));
+  EXPECT_EQ(labeler.stats().overlay_structures, 2u);
+}
+
+// Two disclosure bypasses through ambiguous key strings. Datalog text may
+// carry double-quoted constants holding ' , ) and ;, which keys once
+// printed unescaped: (a) C("a','b", 'c') and C('a', "b','c") printed one
+// pattern key, so Dissect dropped one atom; (b) A("c',);1('d") printed the
+// same canonical key as A('c'), B('d'), so a bait query planted by one
+// principal handed its label to every principal. Each sequence runs
+// through the engine's Submit, a fresh engine's one cross-principal
+// SubmitCoalesced batch, and LabelingPipeline + ReferenceMonitor, and every
+// decision must equal the per-view seed labeler (LabelPacked) +
+// ReferenceMonitor's, which refuses each probe.
+struct Submission {
+  std::string principal;
+  std::string datalog;
+};
+
+std::vector<bool> SeedDecisions(const label::ViewCatalog& catalog,
+                                const policy::SecurityPolicy& policy,
+                                const std::vector<cq::ConjunctiveQuery>& queries,
+                                const std::vector<Submission>& submissions,
+                                bool use_pipeline) {
+  const label::LabelerPipeline seed(&catalog);
+  label::LabelingPipeline pipeline(&catalog);
+  const policy::ReferenceMonitor monitor(&policy);
+  std::map<std::string, policy::PrincipalState> states;
+  std::vector<bool> decisions;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    policy::PrincipalState& state =
+        states.try_emplace(submissions[i].principal, monitor.InitialState())
+            .first->second;
+    decisions.push_back(monitor.Submit(
+        &state, use_pipeline ? pipeline.Label(queries[i])
+                             : seed.LabelPacked(queries[i])));
+  }
+  return decisions;
+}
+
+void ExpectEveryPathMatchesSeed(const cq::Schema& schema,
+                                const label::ViewCatalog& catalog,
+                                const policy::SecurityPolicy& policy,
+                                const std::vector<Submission>& submissions,
+                                const std::vector<bool>& expected) {
+  std::vector<cq::ConjunctiveQuery> queries;
+  for (const Submission& sub : submissions) {
+    queries.push_back(test::Q(sub.datalog, schema));
+  }
+  EXPECT_EQ(SeedDecisions(catalog, policy, queries, submissions, false),
+            expected);
+  EXPECT_EQ(SeedDecisions(catalog, policy, queries, submissions, true),
+            expected);
+
+  DisclosureEngine single(/*db=*/nullptr, &catalog, policy);
+  std::vector<bool> decisions;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    decisions.push_back(single.Submit(submissions[i].principal, queries[i]));
+  }
+  EXPECT_EQ(decisions, expected) << "Submit";
+
+  DisclosureEngine coalesced(/*db=*/nullptr, &catalog, policy);
+  std::vector<DisclosureEngine::SubmitRequest> requests;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    requests.push_back({submissions[i].principal, &queries[i]});
+  }
+  coalesced.SubmitCoalesced(requests, &decisions);
+  EXPECT_EQ(decisions, expected) << "SubmitCoalesced";
+}
+
+TEST(EngineEquivalenceTest, QuotedConstantsCannotMergeAtoms) {
+  cq::Schema schema;
+  ASSERT_TRUE(schema.AddRelation("C", {"a", "b"}).ok());
+  label::ViewCatalog catalog(&schema);
+  ASSERT_TRUE(catalog.AddViewText("VC", "VC(x, y) :- C(x, y)").ok());
+  const Result<int> vc1 = catalog.AddViewText("VC1", "VC1(x) :- C(x, 'c')");
+  ASSERT_TRUE(vc1.ok());
+  const Result<policy::SecurityPolicy> policy =
+      policy::SecurityPolicy::Compile(catalog, {{"P", {*vc1}}});
+  ASSERT_TRUE(policy.ok());
+  ExpectEveryPathMatchesSeed(
+      schema, catalog, *policy,
+      {{"app", "Q() :- C('a', \"b','c\")"},
+       {"app", "Q() :- C(\"a','b\", 'c')"},
+       {"other", "Q() :- C(\"a','b\", 'c'), C('a', \"b','c\")"}},
+      {false, true, false});
+}
+
+TEST(EngineEquivalenceTest, BaitQueryCannotLendItsLabel) {
+  cq::Schema schema;
+  ASSERT_TRUE(schema.AddRelation("A", {"a"}).ok());
+  ASSERT_TRUE(schema.AddRelation("B", {"b"}).ok());
+  label::ViewCatalog catalog(&schema);
+  const Result<int> va = catalog.AddViewText("VA", "VA(x) :- A(x)");
+  ASSERT_TRUE(va.ok());
+  ASSERT_TRUE(catalog.AddViewText("VB", "VB(y) :- B(y)").ok());
+  const Result<policy::SecurityPolicy> policy =
+      policy::SecurityPolicy::Compile(catalog, {{"P", {*va}}});
+  ASSERT_TRUE(policy.ok());
+  ExpectEveryPathMatchesSeed(schema, catalog, *policy,
+                             {{"victim", "Q() :- A('c'), B('d')"},
+                              {"bait", "Q() :- A(\"c',);1('d\")"},
+                              {"victim", "Q() :- A('c'), B('d')"},
+                              {"other", "Q() :- A('c'), B('d')"}},
+                             {false, true, false, false});
 }
 
 // The core acceptance property: randomized multi-principal workloads give

@@ -6,6 +6,8 @@
 // for reproducibility.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "cq/interned.h"
 #include "cq/schema.h"
@@ -155,15 +157,17 @@ TEST(HomIndexPropertyTest, InternedEntryPointAgreesWithLinear) {
   for (int trial = 0; trial < 300; ++trial) {
     const ConjunctiveQuery a = RandomQuery(&rng, 4, 4);
     const ConjunctiveQuery b = RandomQuery(&rng, 5, 4);
-    const cq::InternedQuery& ia = interner.Intern(a);
-    const cq::InternedQuery& ib = interner.Intern(b);
+    const cq::InternedQuery* ia = interner.TryIntern(a, SIZE_MAX);
+    const cq::InternedQuery* ib = interner.TryIntern(b, SIZE_MAX);
+    ASSERT_NE(ia, nullptr);
+    ASSERT_NE(ib, nullptr);
     HomOptions linear_options;
     linear_options.engine = HomEngine::kLinear;
     // Compare on the canonical forms: interning canonicalizes, and
     // homomorphism existence is invariant under isomorphism.
     const bool expected =
-        FindHomomorphism(ia.query(), ib.query(), linear_options).has_value();
-    EXPECT_EQ(FindHomomorphismInterned(ia, ib).has_value(), expected);
+        FindHomomorphism(ia->query(), ib->query(), linear_options).has_value();
+    EXPECT_EQ(FindHomomorphismInterned(*ia, *ib).has_value(), expected);
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "test_util.h"
 
 namespace fdc::cq {
@@ -20,32 +22,38 @@ TEST_F(InternerTest, RenamedQueriesShareOneHandle) {
       test::Q("Q(x) :- Meetings(x, y), Contacts(y, e, p)", schema_);
   const ConjunctiveQuery b =
       test::Q("Q(u) :- Contacts(v, w, z), Meetings(u, v)", schema_);
-  const InternedQuery& ia = interner_.Intern(a);
-  const InternedQuery& ib = interner_.Intern(b);
-  EXPECT_EQ(ia.id(), ib.id());
-  EXPECT_EQ(&ia, &ib);
+  const InternedQuery* ia = interner_.TryIntern(a, SIZE_MAX);
+  const InternedQuery* ib = interner_.TryIntern(b, SIZE_MAX);
+  ASSERT_NE(ia, nullptr);
+  ASSERT_NE(ib, nullptr);
+  EXPECT_EQ(ia->id(), ib->id());
+  EXPECT_EQ(ia, ib);
   EXPECT_EQ(interner_.num_queries(), 1);
   EXPECT_EQ(interner_.stats().query_hits, 1u);
   EXPECT_EQ(interner_.stats().query_misses, 1u);
 }
 
 TEST_F(InternerTest, DistinctStructuresGetDistinctIds) {
-  const InternedQuery& scan =
-      interner_.Intern(test::Q("Q(x) :- Meetings(x, y)", schema_));
-  const InternedQuery& sel =
-      interner_.Intern(test::Q("Q(x) :- Meetings(x, 'Cathy')", schema_));
-  const InternedQuery& diag =
-      interner_.Intern(test::Q("Q(x) :- Meetings(x, x)", schema_));
-  EXPECT_NE(scan.id(), sel.id());
-  EXPECT_NE(scan.id(), diag.id());
-  EXPECT_NE(sel.id(), diag.id());
+  const InternedQuery* scan =
+      interner_.TryIntern(test::Q("Q(x) :- Meetings(x, y)", schema_), SIZE_MAX);
+  const InternedQuery* sel = interner_.TryIntern(
+      test::Q("Q(x) :- Meetings(x, 'Cathy')", schema_), SIZE_MAX);
+  const InternedQuery* diag =
+      interner_.TryIntern(test::Q("Q(x) :- Meetings(x, x)", schema_), SIZE_MAX);
+  ASSERT_NE(scan, nullptr);
+  ASSERT_NE(sel, nullptr);
+  ASSERT_NE(diag, nullptr);
+  EXPECT_NE(scan->id(), sel->id());
+  EXPECT_NE(scan->id(), diag->id());
+  EXPECT_NE(sel->id(), diag->id());
 }
 
 TEST_F(InternerTest, DigestRecordsStructure) {
   const ConjunctiveQuery q =
       test::Q("Q(x) :- Meetings(x, y), Contacts(y, e, 'vp')", schema_);
-  const InternedQuery& interned = interner_.Intern(q);
-  const QueryDigest& digest = interned.digest();
+  const InternedQuery* interned = interner_.TryIntern(q, SIZE_MAX);
+  ASSERT_NE(interned, nullptr);
+  const QueryDigest& digest = interned->digest();
   EXPECT_EQ(digest.num_atoms, 2);
   EXPECT_EQ(digest.head_arity, 1);
   EXPECT_GE(digest.max_var, 0);
@@ -53,7 +61,7 @@ TEST_F(InternerTest, DigestRecordsStructure) {
   const int contacts = schema_.Find("Contacts")->id;
   EXPECT_NE(digest.relation_set & (1ULL << (meetings & 63)), 0u);
   EXPECT_NE(digest.relation_set & (1ULL << (contacts & 63)), 0u);
-  ASSERT_EQ(interned.atom_signatures().size(), 2u);
+  ASSERT_EQ(interned->atom_signatures().size(), 2u);
 }
 
 TEST_F(InternerTest, DigestIsInvariantUnderRenamingAndReordering) {
@@ -105,21 +113,19 @@ TEST_F(InternerTest, CanonicalFormHitsTheRawTable) {
   // Intern under a deliberately non-canonical variable naming, then probe
   // with the canonical form: the intern step must have raw-registered the
   // canonical object too, so the probe resolves at level 1 (raw_hits) with
-  // no CanonicalKey recomputation. This is what lets a serving front end
-  // canonicalize a registered template once and hash-probe per submit.
+  // no CanonicalKey recomputation. This is what lets a caller canonicalize
+  // a query once and hash-probe with it afterwards.
   const ConjunctiveQuery raw =
       test::Q("Q(u) :- Contacts(v, w, z), Meetings(u, v)", schema_);
-  const InternedQuery& interned = interner_.Intern(raw);
+  const InternedQuery* interned = interner_.TryIntern(raw, SIZE_MAX);
+  ASSERT_NE(interned, nullptr);
   const ConjunctiveQuery canonical = Canonicalize(raw);
   EXPECT_EQ(interner_.stats().raw_hits, 0u);
   const InternedQuery* via_canonical = interner_.TryIntern(canonical, 1);
   ASSERT_NE(via_canonical, nullptr);
-  EXPECT_EQ(via_canonical, &interned);
+  EXPECT_EQ(via_canonical, interned);
   EXPECT_EQ(interner_.stats().raw_hits, 1u);
   EXPECT_EQ(interner_.num_queries(), 1);
-  // Find (the lock-free frozen-tier probe) resolves both forms.
-  EXPECT_EQ(interner_.Find(raw), &interned);
-  EXPECT_EQ(interner_.Find(canonical), &interned);
 }
 
 TEST_F(InternerTest, PatternInterningDeduplicates) {

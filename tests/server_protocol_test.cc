@@ -310,9 +310,11 @@ TEST(StatsJsonTest, EngineStatsSerializeToValidJson) {
   EXPECT_TRUE(JsonValidator(json).Validate()) << json;
   for (const char* key :
        {"\"epoch\"", "\"decisions\"", "\"submitted\"", "\"labeler\"",
-        "\"interner\"", "\"ebr\"", "\"shadow\""}) {
+        "\"overlay_structures\"", "\"overlay_bytes\"", "\"ebr\"",
+        "\"shadow\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  EXPECT_EQ(json.find("\"interner\""), std::string::npos);
 }
 
 TEST(StatsJsonTest, JsonEscapeHandlesHostileInput) {

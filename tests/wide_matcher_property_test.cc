@@ -310,15 +310,14 @@ TEST(WideMatcherPropertyTest, PipelineLabelsMatchWideOracle) {
     }
 
     // The engine's labeler over the same catalog, through every tier: a
-    // quarter of the pool is frozen warmup, the interner cap turns most
-    // novel structures stateless, a small publish threshold makes second
-    // passes hit the overlay chunk, and one labeler runs Label while the
-    // other runs both LabelBatch overloads.
+    // quarter of the pool is frozen warmup, the overlay's structure cap
+    // turns most novel structures stateless, second passes hit the
+    // overlay, and one labeler runs Label while the other runs both
+    // LabelBatch overloads.
     const std::span<const ConjunctiveQuery> warmup(pool.data(), 15);
     const auto frozen = engine::FrozenCatalog::Build(&catalog, warmup);
     engine::ConcurrentLabelerOptions options;
     options.max_interned_queries = 20;
-    options.overlay_min_publish = 4;
     engine::ConcurrentLabeler single(frozen, options);
     engine::ConcurrentLabeler batched(frozen, options);
     std::vector<const ConjunctiveQuery*> ptrs;
