@@ -9,7 +9,7 @@
 //     the monitor one at a time (LabelingPipeline ablate_interning mode).
 //   * batched — the intern → index → memoize → batch path: queries are
 //     hash-consed, whole-query labels memoized, batches bucketed by
-//     interned id, and monitor submits deduplicated (LabelBatch +
+//     interned id, and the batch's labels submitted in order (LabelBatch +
 //     SubmitBatch).
 // The two memoizing series label the whole pool once before timing starts,
 // so the timed loop measures the warm steady state whatever iteration count

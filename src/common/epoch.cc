@@ -34,9 +34,11 @@ size_t Domain::AcquireSlot() {
     bool expected = false;
     if (slots_[i].in_use.compare_exchange_strong(expected, true,
                                                  std::memory_order_acq_rel)) {
-      size_t hw = slot_high_water_.load(std::memory_order_relaxed);
+      // seq_cst so a scan that follows this thread's first announcement in
+      // the total order covers its slot (see epoch.h).
+      size_t hw = slot_high_water_.load(std::memory_order_seq_cst);
       while (i + 1 > hw && !slot_high_water_.compare_exchange_weak(
-                               hw, i + 1, std::memory_order_relaxed)) {
+                               hw, i + 1, std::memory_order_seq_cst)) {
       }
       return i;
     }
@@ -61,12 +63,11 @@ void Domain::Pin() {
   ThreadRecord& tr = t_record;
   if (tr.depth++ > 0) return;  // nested guard: outermost pin already holds
   if (tr.slot == static_cast<size_t>(-1)) tr.slot = AcquireSlot();
-  uint64_t e = global_epoch_.load(std::memory_order_acquire);
-  slots_[tr.slot].announce.store((e << 1) | 1, std::memory_order_relaxed);
-  // Pairs with the seq_cst scan in TryAdvance (Dekker): either the collector
-  // sees this announcement, or this thread sees every pointer published
-  // before the collector's scan.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // Both seq_cst: they and the scan in TryAdvance lie in one total order
+  // (see epoch.h), so either the collector sees this announcement, or this
+  // thread sees every pointer published before the collector's scan.
+  uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
+  slots_[tr.slot].announce.store((e << 1) | 1, std::memory_order_seq_cst);
 }
 
 void Domain::Unpin() {
@@ -93,8 +94,7 @@ void Domain::Retire(void* ptr, void (*deleter)(void*)) {
 }
 
 bool Domain::TryAdvance(uint64_t expected) {
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const size_t hw = slot_high_water_.load(std::memory_order_acquire);
+  const size_t hw = slot_high_water_.load(std::memory_order_seq_cst);
   for (size_t i = 0; i < hw; ++i) {
     uint64_t a = slots_[i].announce.load(std::memory_order_seq_cst);
     if (a == 0) continue;  // quiescent

@@ -7,20 +7,36 @@
 // which guarantees no pinned reader can still hold a reference.
 //
 // Protocol (classic three-epoch EBR):
-//   pin:     e = global_epoch.load(acquire); slot.store(e<<1 | 1);
-//            atomic_thread_fence(seq_cst);
-//   writer:  store new pointer; Retire(old) stamps old with the current
-//            global epoch; Collect() advances global_epoch E -> E+1 only when
-//            every pinned slot announces E, and frees garbage whose retire
-//            epoch is <= E-1 (i.e. global >= retire+2).
+//   pin:     e = global_epoch.load(); slot.store(e<<1 | 1);
+//   reader:  p = ptr.load();  ... use *p ...;  slot.store(0)  (unpin)
+//   writer:  ptr.store(new); Retire(old) stamps old with global_epoch.load();
+//            Collect() advances global_epoch E -> E+1 only when every
+//            pinned slot announces E, and frees garbage whose retire epoch
+//            is <= E-1 (i.e. global >= retire+2).
 //
-// The seq_cst fence on pin pairs with the seq_cst scan in Collect()
-// (Dekker-style): either the collector observes the reader's pin, or the
-// reader observes the newly published pointer. Stale announcements only delay
-// epoch advancement (liveness), never safety.
+// Ordering argument. Every operation above except the unpin store is
+// seq_cst: the pin's epoch load and announce store, the loads and
+// publishing stores of every EBR-protected pointer (the engine's
+// snapshot_ptr_/shadow_ptr_, LabelTable's slot array), Retire's epoch
+// load, the collector's scan loads and its advancing CAS, and the slot
+// high-water mark that bounds the scan. So they all lie in one total order
+// S, and no standalone fence is needed (ThreadSanitizer models none).
+// Take an object X unlinked by publish P and retired at epoch R. It is
+// freed only after the advance from R+1 to R+2, whose scan follows P in S
+// (P < Retire's epoch load, which read R < the CAS to R+1 < the scan).
+// Take a reader with announce store A followed by a load L of X's pointer:
+//   * A after P in S: then P < A < L, so L reads P's value or a later one,
+//     and the reader never sees X.
+//   * A before P in S: the reader pinned an epoch <= R, and A precedes the
+//     scan, which therefore covers the slot and reads A's value (an epoch
+//     other than R+1, so the advance fails) or a later store to the slot —
+//     the unpin, or a re-pin sequenced after it — in which case every use
+//     of X happens-before the scan, and so before the free.
+// Stale announcements only delay epoch advancement (liveness), never
+// safety.
 //
-// Guards nest: only the outermost Guard per thread pays the fence; inner
-// guards just bump a thread-local depth counter.
+// Guards nest: only the outermost Guard per thread announces; inner guards
+// just bump a thread-local depth counter.
 //
 // The engine's snapshot publish and the label tables' slot-array growth
 // both retire through the one process-wide Domain.
@@ -123,7 +139,7 @@ class Domain {
 };
 
 // RAII pin on the shared Domain. Cheap to nest; the outermost guard per
-// thread performs one seq_cst fence on entry and a release store on exit.
+// thread performs one seq_cst store on entry and a release store on exit.
 class Guard {
  public:
   Guard() { Domain::Instance().Pin(); }

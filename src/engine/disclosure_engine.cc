@@ -38,7 +38,7 @@ DisclosureEngine::DisclosureEngine(const storage::Database* db,
           frozen_, std::move(policy), /*epoch=*/1)),
       shadow_principals_(options.principals),
       sweep_interval_(options.principal_sweep_interval) {
-  snapshot_ptr_.store(snapshot_.get(), std::memory_order_release);
+  snapshot_ptr_.store(snapshot_.get(), std::memory_order_seq_cst);
 }
 
 uint64_t DisclosureEngine::UpdatePolicy(policy::SecurityPolicy policy) {
@@ -52,7 +52,7 @@ uint64_t DisclosureEngine::UpdatePolicy(policy::SecurityPolicy policy) {
     epoch = next_epoch_++;
     auto next = std::make_shared<const EngineSnapshot>(
         frozen_, std::move(policy), epoch);
-    snapshot_ptr_.store(next.get(), std::memory_order_release);
+    snapshot_ptr_.store(next.get(), std::memory_order_seq_cst);
     retired = std::exchange(snapshot_, std::move(next));
   }
   // Readers hold raw pointers, not refcounts — the retired snapshot must
@@ -86,7 +86,7 @@ uint64_t DisclosureEngine::SetShadowPolicy(policy::SecurityPolicy policy,
     epoch = next_epoch_++;
     auto next = std::make_shared<const EngineSnapshot>(
         frozen_, std::move(policy), epoch);
-    shadow_ptr_.store(next.get(), std::memory_order_release);
+    shadow_ptr_.store(next.get(), std::memory_order_seq_cst);
     retired = std::exchange(shadow_snapshot_, std::move(next));
     shadow_name_ = std::move(policy_name);
   }
@@ -115,7 +115,7 @@ void DisclosureEngine::ClearShadowPolicy() {
   std::shared_ptr<const EngineSnapshot> retired;
   {
     std::unique_lock<locks::CountedSharedMutex> lock(snapshot_mu_);
-    shadow_ptr_.store(nullptr, std::memory_order_release);
+    shadow_ptr_.store(nullptr, std::memory_order_seq_cst);
     retired = std::exchange(shadow_snapshot_, nullptr);
     shadow_name_.clear();
   }
@@ -123,35 +123,36 @@ void DisclosureEngine::ClearShadowPolicy() {
 }
 
 void DisclosureEngine::ShadowEvaluate(
-    std::string_view principal,
+    SnapshotAccess* access, std::string_view principal,
     std::span<const label::DisclosureLabel* const> labels,
     const std::vector<bool>& live) {
-  SnapshotAccess access(this);
+  struct Tally {
+    uint64_t agree = 0, stricter = 0, looser = 0;
+  };
   for (;;) {
-    const EngineSnapshot* snap = access.LoadShadow();
+    const EngineSnapshot* snap = access->LoadShadow();
     if (snap == nullptr) return;  // cleared while we were deciding
     const policy::ReferenceMonitor monitor(&snap->policy());
-    std::optional<std::vector<bool>> decisions =
-        shadow_principals_.TryWithState(
-            principal, snap->epoch(), snap->InitialMask(),
-            [&](policy::PrincipalState& state) {
-              return monitor.SubmitBatch(&state, labels);
-            });
-    if (!decisions.has_value()) continue;  // raced a shadow swap; reload
-    uint64_t agree = 0, stricter = 0, looser = 0;
-    for (size_t i = 0; i < decisions->size(); ++i) {
-      const bool shadow = (*decisions)[i];
-      if (shadow == live[i]) {
-        ++agree;
-      } else if (live[i]) {
-        ++stricter;  // live accepted, candidate would refuse
-      } else {
-        ++looser;  // live refused, candidate would accept
-      }
-    }
-    shadow_agree_.fetch_add(agree, std::memory_order_relaxed);
-    shadow_stricter_.fetch_add(stricter, std::memory_order_relaxed);
-    shadow_looser_.fetch_add(looser, std::memory_order_relaxed);
+    const std::optional<Tally> tally = shadow_principals_.TryWithState(
+        principal, snap->epoch(), snap->InitialMask(),
+        [&](policy::PrincipalState& state) {
+          Tally t;
+          for (size_t i = 0; i < labels.size(); ++i) {
+            const bool shadow = monitor.Submit(&state, *labels[i]);
+            if (shadow == live[i]) {
+              ++t.agree;
+            } else if (live[i]) {
+              ++t.stricter;  // live accepted, candidate would refuse
+            } else {
+              ++t.looser;  // live refused, candidate would accept
+            }
+          }
+          return t;
+        });
+    if (!tally.has_value()) continue;  // raced a shadow swap; reload
+    shadow_agree_.fetch_add(tally->agree, std::memory_order_relaxed);
+    shadow_stricter_.fetch_add(tally->stricter, std::memory_order_relaxed);
+    shadow_looser_.fetch_add(tally->looser, std::memory_order_relaxed);
     return;
   }
 }
@@ -171,83 +172,96 @@ void DisclosureEngine::MaybeAutoSweep(uint64_t decisions) {
   }
 }
 
-bool DisclosureEngine::Submit(std::string_view principal,
-                              const cq::ConjunctiveQuery& query) {
-  // Labels depend only on the catalog, never the policy — label once,
-  // outside the snapshot retry loop.
-  const label::DisclosureLabel label = labeler_.Label(query);
-  SnapshotAccess access(this);
+uint64_t DisclosureEngine::Decide(
+    SnapshotAccess* access, std::string_view principal,
+    std::span<const label::DisclosureLabel* const> labels,
+    std::vector<bool>* decided) {
+  decided->resize(labels.size());
   for (;;) {
-    const EngineSnapshot* snap = access.Load();
+    const EngineSnapshot* snap = access->Load();
     const policy::ReferenceMonitor monitor(&snap->policy());
-    const std::optional<bool> ok = principals_.TryWithState(
+    const std::optional<uint64_t> accepted = principals_.TryWithState(
         principal, snap->epoch(), snap->InitialMask(),
         [&](policy::PrincipalState& state) {
-          return monitor.Submit(&state, label);
+          uint64_t ok = 0;
+          for (size_t i = 0; i < labels.size(); ++i) {
+            const bool d = monitor.Submit(&state, *labels[i]);
+            (*decided)[i] = d;
+            ok += d ? 1 : 0;
+          }
+          return ok;
         });
-    if (!ok.has_value()) continue;  // lost a race with a policy swap
-    if (*ok) {
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      refused_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (ShadowEnabled()) {
-      const label::DisclosureLabel* one[1] = {&label};
-      ShadowEvaluate(principal, one, std::vector<bool>{*ok});
-    }
-    MaybeAutoSweep(1);
-    return *ok;
+    if (!accepted.has_value()) continue;  // lost a race with a policy swap
+    accepted_.fetch_add(*accepted, std::memory_order_relaxed);
+    refused_.fetch_add(labels.size() - *accepted, std::memory_order_relaxed);
+    if (ShadowEnabled()) ShadowEvaluate(access, principal, labels, *decided);
+    return snap->epoch();
   }
+}
+
+namespace {
+
+// A serving thread's request buffers, reused across requests so a warm
+// request allocates nothing. Labels are assigned over, never destroyed, so
+// each keeps its atom buffers for the next request.
+struct RequestScratch {
+  std::vector<const cq::ConjunctiveQuery*> queries;
+  std::vector<label::DisclosureLabel> labels;
+  std::vector<const label::DisclosureLabel*> label_ptrs;
+  std::vector<bool> decided;
+  // SubmitCoalesced's grouping by principal.
+  std::unordered_map<std::string_view, uint32_t> group_of;
+  struct Group {
+    std::string_view principal;
+    std::vector<uint32_t> indices;  // request indices, arrival order
+    std::vector<const label::DisclosureLabel*> labels;
+  };
+  std::vector<Group> groups;
+  size_t groups_used = 0;
+
+  // Labels `queries` (a prefix of the buffers) and points label_ptrs[k] at
+  // the label of queries[k]. Labels depend only on the catalog, never on
+  // the policy, so this runs once, outside any snapshot retry.
+  void Label(ConcurrentLabeler* labeler,
+             std::span<const cq::ConjunctiveQuery* const> batch) {
+    if (labels.size() < batch.size()) labels.resize(batch.size());
+    labeler->LabelInto(batch, labels.data());
+    label_ptrs.clear();
+    for (size_t k = 0; k < batch.size(); ++k) label_ptrs.push_back(&labels[k]);
+  }
+};
+thread_local RequestScratch t_scratch;
+
+}  // namespace
+
+bool DisclosureEngine::Submit(std::string_view principal,
+                              const cq::ConjunctiveQuery& query) {
+  RequestScratch& s = t_scratch;
+  const cq::ConjunctiveQuery* one = &query;
+  s.Label(&labeler_, std::span<const cq::ConjunctiveQuery* const>(&one, 1));
+  SnapshotAccess access(this);
+  Decide(&access, principal, s.label_ptrs, &s.decided);
+  MaybeAutoSweep(1);
+  return s.decided[0];
 }
 
 std::vector<bool> DisclosureEngine::SubmitBatch(
     std::string_view principal,
     std::span<const cq::ConjunctiveQuery> queries) {
-  const std::vector<label::DisclosureLabel> labels =
-      labeler_.LabelBatch(queries);
+  RequestScratch& s = t_scratch;
+  s.queries.clear();
+  for (const cq::ConjunctiveQuery& query : queries) s.queries.push_back(&query);
+  s.Label(&labeler_, s.queries);
+  std::vector<bool> decisions;
   SnapshotAccess access(this);
-  for (;;) {
-    const EngineSnapshot* snap = access.Load();
-    const policy::ReferenceMonitor monitor(&snap->policy());
-    std::optional<std::vector<bool>> decisions = principals_.TryWithState(
-        principal, snap->epoch(), snap->InitialMask(),
-        [&](policy::PrincipalState& state) {
-          return monitor.SubmitBatch(&state, labels);
-        });
-    if (!decisions.has_value()) continue;  // lost a race with a policy swap
-    uint64_t ok = 0;
-    for (const bool d : *decisions) ok += d ? 1 : 0;
-    accepted_.fetch_add(ok, std::memory_order_relaxed);
-    refused_.fetch_add(decisions->size() - ok, std::memory_order_relaxed);
-    if (ShadowEnabled()) {
-      std::vector<const label::DisclosureLabel*> label_ptrs;
-      label_ptrs.reserve(labels.size());
-      for (const label::DisclosureLabel& l : labels) label_ptrs.push_back(&l);
-      ShadowEvaluate(principal, label_ptrs, *decisions);
-    }
-    MaybeAutoSweep(decisions->size());
-    return *std::move(decisions);
-  }
+  Decide(&access, principal, s.label_ptrs, &decisions);
+  MaybeAutoSweep(queries.size());
+  return decisions;
 }
 
 void DisclosureEngine::SubmitCoalesced(
     std::span<const SubmitRequest> requests, std::vector<bool>* decisions,
     std::vector<uint64_t>* epochs) {
-  // Per-thread scratch: one serving thread calls this once per event-loop
-  // wake, so the gather/group vectors stay warm and allocation-free.
-  struct Scratch {
-    std::vector<const cq::ConjunctiveQuery*> queries;
-    std::unordered_map<std::string_view, uint32_t> group_of;
-    struct Group {
-      std::string_view principal;
-      std::vector<uint32_t> indices;  // request indices, arrival order
-      std::vector<const label::DisclosureLabel*> labels;
-    };
-    std::vector<Group> groups;
-    size_t groups_used = 0;
-  };
-  thread_local Scratch scratch;
-
   decisions->clear();
   decisions->resize(requests.size());
   if (epochs != nullptr) {
@@ -256,71 +270,45 @@ void DisclosureEngine::SubmitCoalesced(
   }
   if (requests.empty()) return;
 
-  // One batched labeling pass over the whole wake: the batch kernel and
-  // the batch's distinct-structure dedup see the full coalesced size,
-  // not per-connection fragments.
-  scratch.queries.clear();
-  scratch.queries.reserve(requests.size());
+  // One labeling pass over the whole wake: the batch kernel and the
+  // batch's distinct-structure dedup see the full coalesced size, not
+  // per-connection fragments.
+  RequestScratch& s = t_scratch;
+  s.queries.clear();
   for (const SubmitRequest& request : requests) {
-    scratch.queries.push_back(request.query);
+    s.queries.push_back(request.query);
   }
-  const std::vector<label::DisclosureLabel> labels = labeler_.LabelBatch(
-      std::span<const cq::ConjunctiveQuery* const>(scratch.queries));
+  s.Label(&labeler_, s.queries);
 
   // Group request indices by principal, preserving arrival order within
   // each group (the only order monitor decisions depend on).
-  scratch.group_of.clear();
-  scratch.groups_used = 0;
+  s.group_of.clear();
+  s.groups_used = 0;
   for (uint32_t i = 0; i < requests.size(); ++i) {
-    auto [it, inserted] = scratch.group_of.try_emplace(
-        requests[i].principal, static_cast<uint32_t>(scratch.groups_used));
+    auto [it, inserted] = s.group_of.try_emplace(
+        requests[i].principal, static_cast<uint32_t>(s.groups_used));
     if (inserted) {
-      if (scratch.groups_used == scratch.groups.size()) {
-        scratch.groups.emplace_back();
-      }
-      Scratch::Group& group = scratch.groups[scratch.groups_used++];
+      if (s.groups_used == s.groups.size()) s.groups.emplace_back();
+      RequestScratch::Group& group = s.groups[s.groups_used++];
       group.principal = requests[i].principal;
       group.indices.clear();
       group.labels.clear();
     }
-    Scratch::Group& group = scratch.groups[it->second];
+    RequestScratch::Group& group = s.groups[it->second];
     group.indices.push_back(i);
-    group.labels.push_back(&labels[i]);
+    group.labels.push_back(s.label_ptrs[i]);
   }
 
-  uint64_t ok_total = 0;
   SnapshotAccess access(this);
-  for (size_t g = 0; g < scratch.groups_used; ++g) {
-    const Scratch::Group& group = scratch.groups[g];
-    for (;;) {
-      const EngineSnapshot* snap = access.Load();
-      const policy::ReferenceMonitor monitor(&snap->policy());
-      std::optional<std::vector<bool>> group_decisions =
-          principals_.TryWithState(
-              group.principal, snap->epoch(), snap->InitialMask(),
-              [&](policy::PrincipalState& state) {
-                return monitor.SubmitBatch(
-                    &state, std::span<const label::DisclosureLabel* const>(
-                                group.labels));
-              });
-      if (!group_decisions.has_value()) continue;  // raced a policy swap
-      for (size_t j = 0; j < group.indices.size(); ++j) {
-        const bool d = (*group_decisions)[j];
-        (*decisions)[group.indices[j]] = d;
-        if (epochs != nullptr) (*epochs)[group.indices[j]] = snap->epoch();
-        ok_total += d ? 1 : 0;
-      }
-      if (ShadowEnabled()) {
-        ShadowEvaluate(
-            group.principal,
-            std::span<const label::DisclosureLabel* const>(group.labels),
-            *group_decisions);
-      }
-      break;
+  for (size_t g = 0; g < s.groups_used; ++g) {
+    const RequestScratch::Group& group = s.groups[g];
+    const uint64_t epoch =
+        Decide(&access, group.principal, group.labels, &s.decided);
+    for (size_t j = 0; j < group.indices.size(); ++j) {
+      (*decisions)[group.indices[j]] = s.decided[j];
+      if (epochs != nullptr) (*epochs)[group.indices[j]] = epoch;
     }
   }
-  accepted_.fetch_add(ok_total, std::memory_order_relaxed);
-  refused_.fetch_add(requests.size() - ok_total, std::memory_order_relaxed);
   MaybeAutoSweep(requests.size());
 }
 

@@ -3,18 +3,18 @@
 // One engine instance serves any number of threads. The paper's
 // per-principal reference monitor (§3.4/§6.2) is preserved exactly — the
 // engine is decision-for-decision identical to the seed
-// ReferenceMonitor/GuardedDatabase path (property-tested) — but the state
-// behind it is restructured into three tiers:
+// LabelingPipeline + ReferenceMonitor composition (property-tested) — but
+// the state behind it is restructured into three tiers:
 //
-//   1. frozen shared state (engine/snapshot.h): the compiled view catalog,
-//      a frozen label table of view and warmup labels, and the
-//      rewriting-order closure, built once and read lock-free;
+//   1. frozen shared state (engine/snapshot.h): the compiled view catalog
+//      and a frozen label table of view and warmup labels, built once and
+//      read lock-free;
 //   2. sharded concurrency: the insert-only labeling overlay, whose warm
 //      hits are lock-free table probes (engine/labeler.h), and per-principal
 //      monitor state in a sharded open-addressed map
-//      (engine/principal_map.h) — Submit / SubmitBatch from N threads on
-//      distinct principals touch disjoint shard locks and never serialize
-//      on labeling hits;
+//      (engine/principal_map.h) — submits from N threads on distinct
+//      principals touch disjoint shard locks and never serialize on
+//      labeling hits;
 //   3. policy epochs: UpdatePolicy compiles a new EngineSnapshot and
 //      publishes it atomically. Every request loads the snapshot exactly
 //      once, so it sees one consistent policy — never a half-updated one —
@@ -24,15 +24,19 @@
 //      refcount traffic — and a replaced snapshot is reclaimed through
 //      epoch::Domain once every in-flight reader has unpinned.
 //
-// Oracle: the seed single-threaded path is kept intact behind
-// GuardedDatabase's use_engine=false mode and LabelingPipeline +
-// ReferenceMonitor, and the engine's decisions are differential-tested
-// against it (tests/engine_equivalence_test.cc,
-// tests/engine_concurrency_test.cc). The engine and LabelingPipeline
-// compute labels through one kernel (label::LabelQueriesBatched), so the
-// engine's labels are checked against the independent per-view oracle,
-// LabelerPipeline::LabelWide (tests/wide_matcher_property_test.cc);
-// bench/fig_engine_scaling.cc sweeps 1→N threads against this facade.
+// Submit, SubmitBatch and SubmitCoalesced label into per-thread buffers
+// and share one private decision step (Decide); a warm Submit allocates
+// nothing.
+//
+// Oracle: the seed single-threaded composition, LabelingPipeline +
+// ReferenceMonitor, lives on in the tests and in perfbench's decision
+// check, and the engine's decisions are differential-tested against it
+// (tests/engine_equivalence_test.cc, tests/engine_concurrency_test.cc).
+// The engine and LabelingPipeline compute labels through one kernel
+// (label::LabelQueriesBatched), so the engine's labels are checked against
+// the independent per-view oracle, LabelerPipeline::LabelWide
+// (tests/wide_matcher_property_test.cc); bench/fig_engine_scaling.cc
+// sweeps 1→N threads against this facade.
 #pragma once
 
 #include <atomic>
@@ -164,8 +168,9 @@ class DisclosureEngine {
 
   /// Batched decisions for one principal against one snapshot: the whole
   /// batch is labeled first (sharing the batch's distinct structures), then
-  /// submitted under a single shard-lock acquisition. Decision-identical to
-  /// calling Submit per query with no interleaved policy swap.
+  /// decided in order under a single shard-lock acquisition.
+  /// Decision-identical to calling Submit per query with no interleaved
+  /// policy swap.
   std::vector<bool> SubmitBatch(std::string_view principal,
                                 std::span<const cq::ConjunctiveQuery> queries);
 
@@ -180,8 +185,8 @@ class DisclosureEngine {
   /// Coalesced decisions across principals: everything a server drained
   /// from one event-loop wake goes through a single batched labeling pass
   /// (batch kernel + batch label dedup at the wire path's natural
-  /// batch size), then one monitor SubmitBatch per distinct principal
-  /// group (arrival order preserved within each principal). Decision-
+  /// batch size), then one decision step per distinct principal group
+  /// (arrival order preserved within each principal). Decision-
   /// identical to calling Submit per request in order: principals' monitor
   /// states are independent, so only the per-principal order matters.
   /// `decisions` is resized to requests.size(); when `epochs` is non-null
@@ -258,22 +263,22 @@ class DisclosureEngine {
  private:
   // Request-scoped snapshot access: constructed once per request (or per
   // retry loop), then Load()/LoadShadow() as often as needed. It pins one
-  // epoch::Guard for its lifetime and every load is a single acquire load
-  // of the published raw pointer — pointers stay valid until the guard
-  // drops because retired snapshots pass through epoch::Domain. Holding the
-  // guard across a retry loop is safe: a pinned epoch also protects
-  // pointers published *after* the pin (they retire at an epoch the pin
-  // blocks from expiring).
+  // epoch::Guard for its lifetime and every load is a single seq_cst load
+  // of the published raw pointer (common/epoch.h says why seq_cst) —
+  // pointers stay valid until the guard drops because retired snapshots
+  // pass through epoch::Domain. Holding the guard across a retry loop is
+  // safe: a pinned epoch also protects pointers published *after* the pin
+  // (they retire at an epoch the pin blocks from expiring).
   class SnapshotAccess {
    public:
     explicit SnapshotAccess(const DisclosureEngine* engine)
         : engine_(engine) {}
     const EngineSnapshot* Load() {
-      return engine_->snapshot_ptr_.load(std::memory_order_acquire);
+      return engine_->snapshot_ptr_.load(std::memory_order_seq_cst);
     }
     /// Current shadow snapshot, or nullptr when no shadow policy is staged.
     const EngineSnapshot* LoadShadow() {
-      return engine_->shadow_ptr_.load(std::memory_order_acquire);
+      return engine_->shadow_ptr_.load(std::memory_order_seq_cst);
     }
 
    private:
@@ -289,8 +294,8 @@ class DisclosureEngine {
   // store, which control-plane callers copy through Snapshot()
   // (deliberately not std::atomic<std::shared_ptr>, whose libstdc++
   // _Sp_atomic spin-bit protocol trips ThreadSanitizer). The raw pointer
-  // below is the request read path: published with a release store inside
-  // the writer section, loaded with one acquire load under an epoch::Guard,
+  // below is the request read path: published with a seq_cst store inside
+  // the writer section, loaded with one seq_cst load under an epoch::Guard,
   // and the displaced snapshot's ownership is parked in a heap holder
   // retired through epoch::Domain so its refcount cannot drop while any
   // reader is still pinned.
@@ -320,10 +325,21 @@ class DisclosureEngine {
   std::atomic<uint64_t> shadow_agree_{0};
   std::atomic<uint64_t> shadow_stricter_{0};
   std::atomic<uint64_t> shadow_looser_{0};
+  /// The one decision step behind Submit, SubmitBatch and
+  /// SubmitCoalesced: under the snapshot `access` loads, runs
+  /// ReferenceMonitor::Submit over `labels` in order inside the
+  /// principal's state, writes decision i into (*decided)[i] (resized to
+  /// labels.size()), reloads and retries when a policy swap made the
+  /// snapshot stale, counts accepts and refusals, and replays the labels
+  /// against the shadow policy. Returns the epoch the decisions were made
+  /// under.
+  uint64_t Decide(SnapshotAccess* access, std::string_view principal,
+                  std::span<const label::DisclosureLabel* const> labels,
+                  std::vector<bool>* decided);
   /// Replays one principal's just-decided labels against the shadow
   /// policy and tallies agreement; `live` holds the live decisions in
   /// `labels` order.
-  void ShadowEvaluate(std::string_view principal,
+  void ShadowEvaluate(SnapshotAccess* access, std::string_view principal,
                       std::span<const label::DisclosureLabel* const> labels,
                       const std::vector<bool>& live);
   /// Auto-sweep cadence: the thread whose decision count crosses a

@@ -56,7 +56,9 @@ LabelTable::~LabelTable() { delete slots_.load(std::memory_order_relaxed); }
 
 const label::DisclosureLabel* LabelTable::Find(
     uint64_t hash, const cq::ConjunctiveQuery& form) const {
-  const Slots* slots = slots_.load(std::memory_order_acquire);
+  // seq_cst, like the publish in Place: the slot array is EBR-protected
+  // (common/epoch.h). Entries are never freed, so acquire suffices below.
+  const Slots* slots = slots_.load(std::memory_order_seq_cst);
   const size_t mask = slots->at.size() - 1;
   for (size_t pos = static_cast<size_t>(hash) & mask;;
        pos = (pos + 1) & mask) {
@@ -109,7 +111,7 @@ void LabelTable::Place(const Entry* entry) {
                                                     std::memory_order_relaxed);
       }
     }
-    slots_.store(grown, std::memory_order_release);
+    slots_.store(grown, std::memory_order_seq_cst);
     epoch::Domain::Instance().RetireDelete(slots);
     publishes_.fetch_add(1, std::memory_order_relaxed);
     slots = grown;

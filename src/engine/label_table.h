@@ -14,7 +14,8 @@
 // Insert/Alias are serialized by the owner's one mutex (a FrozenCatalog
 // inserts before any reader exists). Each entry is written in full before
 // a release store publishes its pointer; growth fills a doubled slot
-// array, publishes it, and retires the old array through epoch::Domain.
+// array, publishes it with a seq_cst store, and retires the old array
+// through epoch::Domain (common/epoch.h gives the ordering argument).
 // Entries and labels live in deques, so they are never moved or copied,
 // and a pointer a reader loaded stays valid for the table's lifetime.
 #pragma once

@@ -42,21 +42,6 @@ label::DisclosureLabel ConcurrentLabeler::Label(
   return label;
 }
 
-std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
-    std::span<const cq::ConjunctiveQuery> queries) {
-  std::vector<const cq::ConjunctiveQuery*> ptrs;
-  ptrs.reserve(queries.size());
-  for (const cq::ConjunctiveQuery& query : queries) ptrs.push_back(&query);
-  return LabelBatch(std::span<const cq::ConjunctiveQuery* const>(ptrs));
-}
-
-std::vector<label::DisclosureLabel> ConcurrentLabeler::LabelBatch(
-    std::span<const cq::ConjunctiveQuery* const> queries) {
-  std::vector<label::DisclosureLabel> out(queries.size());
-  LabelInto(queries, out.data());
-  return out;
-}
-
 void ConcurrentLabeler::LabelInto(
     std::span<const cq::ConjunctiveQuery* const> queries,
     label::DisclosureLabel* out) {

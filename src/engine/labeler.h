@@ -3,9 +3,8 @@
 // LabelingPipeline memoizes aggressively but is single-threaded by design;
 // duplicating one per serving thread duplicates exactly the state interning
 // exists to share. ConcurrentLabeler is the thread-safe replacement. Label
-// and both LabelBatch overloads enter one walk over two LabelTables
-// (engine/label_table.h), each mapping exact query forms to a label stored
-// once per structure:
+// and LabelInto enter one walk over two LabelTables (engine/label_table.h),
+// each mapping exact query forms to a label stored once per structure:
 //
 //   1. under one epoch::Guard and no lock, each query's raw form probes the
 //      FrozenCatalog's table (views + warmup, immutable) and then the
@@ -43,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <vector>
 
 #include "cq/query.h"
 #include "engine/label_table.h"
@@ -98,27 +96,18 @@ class ConcurrentLabeler {
   /// LabelerPipeline::LabelPacked on packed-only catalogs).
   label::DisclosureLabel Label(const cq::ConjunctiveQuery& query);
 
-  /// Labels a batch through the same walk; each distinct novel structure is
-  /// computed once, in one kernel call for the whole batch.
-  std::vector<label::DisclosureLabel> LabelBatch(
-      std::span<const cq::ConjunctiveQuery> queries);
-
-  /// Same batched labeling over non-contiguous queries (one pointer per
-  /// query). This is the serving front end's shape: the coalescing layer
-  /// gathers requests that point at per-connection interned templates, so
-  /// the batch is naturally a pointer span — labeling must not force a
-  /// copy of every query per wake.
-  std::vector<label::DisclosureLabel> LabelBatch(
-      std::span<const cq::ConjunctiveQuery* const> queries);
+  /// The walk over a batch: raw probes → canonical probes → write-side
+  /// re-probe → batch kernel → insert. Writes the label of queries[k] into
+  /// out[k], assigning over what out[k] held so a reused buffer keeps its
+  /// capacity. Each distinct novel structure is computed once, in one
+  /// kernel call for the whole batch. The queries are pointers because the
+  /// serving front end's batches point at per-connection templates.
+  void LabelInto(std::span<const cq::ConjunctiveQuery* const> queries,
+                 label::DisclosureLabel* out);
 
   Stats stats() const;
 
  private:
-  /// The walk: raw probes → canonical probes → write-side re-probe →
-  /// batch kernel → insert. Writes the label of queries[k] into out[k].
-  void LabelInto(std::span<const cq::ConjunctiveQuery* const> queries,
-                 label::DisclosureLabel* out);
-
   std::shared_ptr<const FrozenCatalog> frozen_;
   Options options_;
 

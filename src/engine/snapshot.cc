@@ -4,7 +4,6 @@
 
 #include "cq/canonical.h"
 #include "label/batch_label.h"
-#include "rewriting/atom_rewriting.h"
 
 namespace fdc::engine {
 
@@ -55,26 +54,6 @@ std::shared_ptr<const FrozenCatalog> FrozenCatalog::Build(
     frozen->view_labels_.push_back(store(v, canonical[v]));
   }
   for (size_t i = 0; i < warmup.size(); ++i) store(n + i, warmup[i]);
-
-  // Rewriting-order closure over catalog views: one bit per ordered pair.
-  // O(n²) AtomRewritable calls at build time — fine for real catalogs
-  // (tens of views); consumed by explain/analysis tooling and the
-  // equivalence tests, not the per-request hot path, so it is paid once
-  // here rather than lazily under a lock.
-  frozen->closure_stride_ = (static_cast<size_t>(n) + 63) / 64;
-  frozen->closure_.assign(static_cast<size_t>(n) * frozen->closure_stride_,
-                          0);
-  for (int v = 0; v < n; ++v) {
-    for (int w = 0; w < n; ++w) {
-      if (rewriting::AtomRewritable(catalog->view(v).pattern,
-                                    catalog->view(w).pattern)) {
-        frozen->closure_[static_cast<size_t>(v) * frozen->closure_stride_ +
-                         (static_cast<size_t>(w) >> 6)] |=
-            (uint64_t{1} << (static_cast<size_t>(w) & 63));
-      }
-    }
-  }
-
   return frozen;
 }
 

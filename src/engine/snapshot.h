@@ -9,8 +9,7 @@
 //     matcher, a frozen LabelTable with each view's own disclosure label
 //     and an optional warmup tier (whole-query labels for a representative
 //     workload, looked up lock-free before the engine's overlay is
-//     consulted), and the rewriting-order closure over catalog views
-//     ({v} ⪯ {w} for every pair).
+//     consulted).
 //
 //   * EngineSnapshot: one *policy epoch* — a FrozenCatalog plus a compiled
 //     SecurityPolicy and a monotonically increasing epoch id. Snapshots are
@@ -46,8 +45,7 @@ class FrozenCatalog {
   /// query and every `warmup` query once, labels them in one
   /// label::LabelQueriesBatched call, stores each structure's label once in
   /// the frozen LabelTable under its canonical form and the raw forms it
-  /// came as, and closes the single-atom rewriting order over the catalog.
-  /// Single-threaded; the result is immutable and every const method below
+  /// came as. Single-threaded; the result is immutable and every const method below
   /// is safe from any number of threads without locks.
   static std::shared_ptr<const FrozenCatalog> Build(
       const label::ViewCatalog* catalog,
@@ -71,15 +69,6 @@ class FrozenCatalog {
     return *view_labels_[static_cast<size_t>(id)];
   }
 
-  /// Rewriting-order closure bit: {view v} ⪯ {view w} (single-atom
-  /// rewritability of v in terms of w), precomputed for every catalog pair.
-  bool ViewLeq(int v, int w) const {
-    return (closure_[static_cast<size_t>(v) * closure_stride_ +
-                     (static_cast<size_t>(w) >> 6)] >>
-            (static_cast<size_t>(w) & 63)) &
-           1;
-  }
-
   /// The frozen label table: every view's and warmup query's label under
   /// its canonical and raw forms. It no longer changes once Build returns,
   /// so its Find needs no epoch::Guard.
@@ -95,8 +84,6 @@ class FrozenCatalog {
   label::CompiledCatalogMatcher matcher_;  // frozen after Build
   LabelTable labels_;  // frozen after Build
   std::vector<const label::DisclosureLabel*> view_labels_;  // in labels_
-  std::vector<uint64_t> closure_;  // row-major bitset, stride in words
-  size_t closure_stride_ = 0;
 };
 
 /// One immutable policy epoch: the frozen catalog tier plus a compiled

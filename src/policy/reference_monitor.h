@@ -8,16 +8,13 @@
 // the state untouched. The state word is 64 bits wide, matching
 // SecurityPolicy::kMaxPartitions.
 //
-// SubmitBatch amortizes repeated-structure workloads: state narrowing is
-// monotone, so a label's decision is stable for the lifetime of a state —
-// once a label is accepted, later identical submits accept without touching
-// the state; once refused, they stay refused. The batch path memoizes
-// decisions per distinct label and only runs the partition scan once each.
+// SubmitBatch is Submit over each label in order. It keeps no memo of
+// repeated labels: on the §7.2 pool a partition scan costs less than
+// hashing a label to look it up.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "label/compressed_label.h"
@@ -27,13 +24,11 @@ namespace fdc::policy {
 
 /// Per-principal monitor state: which partitions remain consistent with the
 /// queries answered so far. Within one policy epoch the bits only ever
-/// narrow (Submit clears bits, never sets them) — the monotonicity every
-/// lifecycle layer above relies on: batch deduplication is sound because a
-/// label's decision is stable under narrowing, and the engine's
-/// PrincipalStateMap may reclaim an idle principal's slot and later resume
-/// these exact bits from a compact residual record (engine/principal_map.h)
-/// precisely because resuming a narrowed value can never widen what the
-/// principal may still learn.
+/// narrow (Submit clears bits, never sets them). The engine's
+/// PrincipalStateMap relies on that: it may reclaim an idle principal's
+/// slot and later resume these exact bits from a compact residual record
+/// (engine/principal_map.h), because resuming a narrowed value can never
+/// widen what the principal may still learn.
 struct PrincipalState {
   uint64_t consistent = 0;
 };
@@ -63,21 +58,29 @@ class ReferenceMonitor {
     return true;
   }
 
-  /// Batched stateful submit: decision-for-decision identical to calling
-  /// Submit on each label in order, but duplicate labels (compared by
-  /// content; labels should be Sealed) cost one hash probe instead of a
-  /// partition scan. Returns one accept/refuse bit per input label.
+  /// Submit on each label in order; one accept/refuse bit per label.
   std::vector<bool> SubmitBatch(
       PrincipalState* state,
-      std::span<const label::DisclosureLabel> labels) const;
+      std::span<const label::DisclosureLabel> labels) const {
+    std::vector<bool> decisions;
+    decisions.reserve(labels.size());
+    for (const label::DisclosureLabel& label : labels) {
+      decisions.push_back(Submit(state, label));
+    }
+    return decisions;
+  }
 
-  /// Same batched submit over non-contiguous labels. The engine's
-  /// cross-principal coalesced path groups one labeled batch by principal;
-  /// each group's labels stay where the labeler put them and only their
-  /// addresses are gathered here — no label copies per group.
+  /// The same over labels that are not contiguous, one address per label.
   std::vector<bool> SubmitBatch(
       PrincipalState* state,
-      std::span<const label::DisclosureLabel* const> labels) const;
+      std::span<const label::DisclosureLabel* const> labels) const {
+    std::vector<bool> decisions;
+    decisions.reserve(labels.size());
+    for (const label::DisclosureLabel* label : labels) {
+      decisions.push_back(Submit(state, *label));
+    }
+    return decisions;
+  }
 
   const SecurityPolicy& policy() const { return *policy_; }
 

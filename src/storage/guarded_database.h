@@ -3,64 +3,51 @@
 // principal's policy and cumulative state, and either evaluates the query
 // or refuses with a PolicyViolation status.
 //
-// Two selectable backends with identical decisions (property-tested):
-//   * engine mode (default) — delegates to engine::DisclosureEngine, the
-//     shard-aware thread-safe core: one GuardedDatabase may be shared by
-//     any number of threads, including the const Explain*/
-//     ConsistentPartitions surface.
-//   * seed mode (use_engine=false) — the original single-threaded
-//     LabelingPipeline + ReferenceMonitor path, kept as the ablation/oracle
-//     baseline. Not thread-safe, including the const diagnostics surface:
-//     they warm the pipeline's interner and memo caches (logically const,
-//     physically mutating), so a seed-mode instance must stay on one
-//     thread.
+// Decisions go through engine::DisclosureEngine, the shard-aware
+// thread-safe core, so one GuardedDatabase may be shared by any number of
+// threads, including the const Explain*/ConsistentPartitions surface. The
+// seed single-threaded composition (LabelingPipeline + ReferenceMonitor +
+// storage::Evaluate) is the oracle tests/engine_equivalence_test.cc
+// compares it against.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 #include "cq/query.h"
-#include "cq/sql_parser.h"
 #include "engine/disclosure_engine.h"
-#include "label/pipeline.h"
 #include "policy/explain.h"
-#include "policy/reference_monitor.h"
 #include "storage/database.h"
-#include "storage/evaluator.h"
 
 namespace fdc::storage {
-
-struct GuardedOptions {
-  /// Route through the shared thread-safe DisclosureEngine (default), or
-  /// keep the seed single-threaded path (ablation/oracle baseline).
-  bool use_engine = true;
-  /// Engine tuning; ignored in seed mode.
-  engine::EngineOptions engine;
-};
 
 class GuardedDatabase {
  public:
   /// All referenced objects must outlive the guarded database.
   GuardedDatabase(const Database* db, const label::ViewCatalog* catalog,
                   const policy::SecurityPolicy* policy,
-                  GuardedOptions options = {});
+                  engine::EngineOptions options = {})
+      : engine_(db, catalog, *policy, std::move(options)) {}
 
   /// Submits a conjunctive query on behalf of `principal`. Answers iff the
   /// cumulative disclosure stays below some policy partition; otherwise
   /// returns PolicyViolation and leaves the principal's state unchanged.
   Result<std::vector<Tuple>> Query(const std::string& principal,
-                                   const cq::ConjunctiveQuery& query);
+                                   const cq::ConjunctiveQuery& query) {
+    return engine_.Query(principal, query);
+  }
 
   /// SQL convenience wrapper.
   Result<std::vector<Tuple>> QuerySql(const std::string& principal,
-                                      const std::string& sql);
+                                      const std::string& sql) {
+    return engine_.QuerySql(principal, sql);
+  }
 
   /// The label the monitor would use for `query` (for explanations/UIs).
   label::DisclosureLabel Explain(const cq::ConjunctiveQuery& query) const {
-    if (engine_) return engine_->Explain(query);
-    return seed_->pipeline.Label(query);
+    return engine_.Explain(query);
   }
 
   /// Full per-partition diagnosis of the decision the monitor *would* make
@@ -68,39 +55,19 @@ class GuardedDatabase {
   /// developer tooling ("which permission is my app missing?").
   policy::Explanation ExplainQuery(const std::string& principal,
                                    const cq::ConjunctiveQuery& query) const {
-    if (engine_) return engine_->ExplainQuery(principal, query);
-    return policy::ExplainDecision(seed_->monitor.policy(),
-                                   seed_->pipeline.catalog(),
-                                   seed_->pipeline.Label(query),
-                                   ConsistentPartitions(principal));
+    return engine_.ExplainQuery(principal, query);
   }
 
   /// Remaining consistent partitions for a principal (all partitions if the
   /// principal has not queried yet).
-  uint64_t ConsistentPartitions(const std::string& principal) const;
-
-  /// The engine backing this database, or null in seed mode.
-  engine::DisclosureEngine* mutable_engine() const { return engine_.get(); }
+  uint64_t ConsistentPartitions(const std::string& principal) const {
+    return engine_.ConsistentPartitions(principal);
+  }
 
  private:
-  // The seed single-threaded path, allocated only in seed mode so engine
-  // mode does not carry a dead interner/cache. The pipeline is mutable
-  // because its caches warm up inside logically-const explanation calls.
-  struct SeedState {
-    SeedState(const label::ViewCatalog* catalog,
-              const policy::SecurityPolicy* policy)
-        : pipeline(catalog), monitor(policy) {}
-    mutable label::LabelingPipeline pipeline;
-    policy::ReferenceMonitor monitor;
-    std::unordered_map<std::string, policy::PrincipalState> states;
-  };
-
-  const Database* db_;
-  // Exactly one of these is non-null. The engine pointee is deliberately
-  // non-const behind const methods — it is internally synchronized and its
-  // "mutations" are cache warmups.
-  std::unique_ptr<engine::DisclosureEngine> engine_;
-  std::unique_ptr<SeedState> seed_;
+  // Mutable behind the const diagnostics: the engine is internally
+  // synchronized and its "mutations" there are label-cache warmups.
+  mutable engine::DisclosureEngine engine_;
 };
 
 }  // namespace fdc::storage

@@ -2,8 +2,9 @@
 // must be bit-identical to the per-atom MatchMaskWords oracle — across the
 // packed/word view-count boundaries (31/32/33/63/64/65) and the one-word,
 // two-word and W-word kernels, for odd batch sizes, through both consumers
-// (LabelingPipeline::LabelBatch and engine::ConcurrentLabeler::LabelBatch),
-// and with zero heap allocations on the warm kernel path.
+// (LabelingPipeline::LabelBatch and engine::ConcurrentLabeler::LabelInto),
+// and with zero heap allocations on the warm kernel path. The same
+// operator-new counter bounds the engine's warm decisions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,11 +16,14 @@
 #include "common/rng.h"
 #include "cq/pattern.h"
 #include "cq/schema.h"
+#include "engine/disclosure_engine.h"
 #include "engine/labeler.h"
 #include "engine/snapshot.h"
 #include "label/compiled_matcher.h"
 #include "label/pipeline.h"
 #include "label/view_catalog.h"
+#include "test_util.h"
+#include "workload/policy_generator.h"
 
 // ---------------------------------------------------------------------------
 // Allocation counting (house harness): every operator new in this binary
@@ -315,8 +319,10 @@ TEST(BatchKernelPropertyTest, ConcurrentLabelerBatchMatchesPipeline) {
       pool.push_back(pool[warmup.size() + static_cast<size_t>(i)]);
     }
 
-    const std::vector<DisclosureLabel> got = labeler.LabelBatch(pool);
-    ASSERT_EQ(got.size(), pool.size());
+    std::vector<const ConjunctiveQuery*> ptrs;
+    for (const ConjunctiveQuery& query : pool) ptrs.push_back(&query);
+    std::vector<DisclosureLabel> got(pool.size());
+    labeler.LabelInto(ptrs, got.data());
     for (size_t i = 0; i < pool.size(); ++i) {
       EXPECT_EQ(got[i], per_query.Label(pool[i]))
           << "views=" << views << " query " << i;
@@ -330,7 +336,8 @@ TEST(BatchKernelPropertyTest, ConcurrentLabelerBatchMatchesPipeline) {
               per_query.stats().compiled_mask_evals);
     // Re-labeling the same batch resolves from the overlay memo.
     const uint64_t evals = labeler.stats().batch_mask_evals;
-    const std::vector<DisclosureLabel> again = labeler.LabelBatch(pool);
+    std::vector<DisclosureLabel> again(pool.size());
+    labeler.LabelInto(ptrs, again.data());
     for (size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(again[i], got[i]);
     EXPECT_EQ(labeler.stats().batch_mask_evals, evals);
   }
@@ -377,6 +384,61 @@ TEST(BatchKernelPropertyTest, WarmBatchKernelIsAllocationFree) {
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u)
       << "warm MatchMaskBatch must not allocate";
+}
+
+// The engine's decisions reuse per-thread buffers. With every label a
+// frozen-table hit and no shadow policy, a warm Submit allocates nothing,
+// and a warm SubmitCoalesced wake over the same 4 principals allocates as
+// much with 64 requests as with 256: only its per-principal grouping
+// allocates, never anything per request.
+TEST(BatchKernelPropertyTest, WarmDecisionsAllocateNothingPerRequest) {
+  test::FbFixture fb;
+  const std::vector<ConjunctiveQuery> pool =
+      test::RandomWorkload(&fb.schema, 2, 256, 0xa110'c8ULL);
+  engine::DisclosureEngine engine(
+      /*db=*/nullptr, &fb.catalog,
+      workload::PolicyGenerator(&fb.catalog, {}, 7).Next(), {}, pool);
+  const std::string principals[4] = {"app-0", "app-1", "app-2", "app-3"};
+  std::vector<engine::DisclosureEngine::SubmitRequest> requests;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    requests.push_back({principals[i % 4], &pool[i]});
+  }
+  std::vector<bool> decisions;
+  std::vector<uint64_t> epochs;
+  engine.SubmitCoalesced(requests, &decisions, &epochs);  // warm-up wake
+
+  auto allocations = [](auto&& run) {
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    run();
+    g_count_allocs.store(false);
+    return g_alloc_count.load();
+  };
+  const uint64_t wake_256 = allocations(
+      [&] { engine.SubmitCoalesced(requests, &decisions, &epochs); });
+  const uint64_t wake_64 = allocations([&] {
+    engine.SubmitCoalesced(
+        std::span<const engine::DisclosureEngine::SubmitRequest>(
+            requests.data(), 64),
+        &decisions, &epochs);
+  });
+  EXPECT_EQ(wake_64, wake_256);
+  EXPECT_LE(wake_256, 4u) << "one grouping entry per principal at most";
+
+  // One pass grows the label buffer to the pool's largest label; the next
+  // pass is warm.
+  auto submit_pool = [&] {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      (void)engine.Submit(principals[i % 4], pool[i]);
+    }
+  };
+  submit_pool();
+  EXPECT_EQ(allocations(submit_pool), 0u) << "a warm Submit must not allocate";
+
+  const engine::DisclosureEngine::EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.labeler.overlay_hits, 0u);
+  EXPECT_EQ(stats.labeler.overlay_misses, 0u);
+  EXPECT_EQ(stats.labeler.frozen_hits, 4 * 256u + 64u);
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 //     1–129 views per relation, and its low word truncated to 32 bits is
 //     the packed oracle's mask;
 //   * LabelingPipeline and engine::ConcurrentLabeler labels — through
-//     Label and LabelBatch, and through every labeler tier (frozen,
-//     overlay chunk, memo, novel, stateless) — carry the same per-atom ℓ+
+//     Label and the batched walk, and through every labeler tier (frozen,
+//     overlay, novel, stateless) — carry the same per-atom ℓ+
 //     bit sets as the LabelWide oracle, and their lattice order (Leq)
 //     coincides;
 //   * SecurityPolicy / ReferenceMonitor / PolicyStore decide identically to
@@ -312,8 +312,8 @@ TEST(WideMatcherPropertyTest, PipelineLabelsMatchWideOracle) {
     // The engine's labeler over the same catalog, through every tier: a
     // quarter of the pool is frozen warmup, the overlay's structure cap
     // turns most novel structures stateless, second passes hit the
-    // overlay, and one labeler runs Label while the other runs both
-    // LabelBatch overloads.
+    // overlay, and one labeler runs Label while the other runs the batched
+    // walk, LabelInto.
     const std::span<const ConjunctiveQuery> warmup(pool.data(), 15);
     const auto frozen = engine::FrozenCatalog::Build(&catalog, warmup);
     engine::ConcurrentLabelerOptions options;
@@ -323,21 +323,16 @@ TEST(WideMatcherPropertyTest, PipelineLabelsMatchWideOracle) {
     std::vector<const ConjunctiveQuery*> ptrs;
     for (const ConjunctiveQuery& query : pool) ptrs.push_back(&query);
     for (int pass = 0; pass < 2; ++pass) {
-      const std::vector<DisclosureLabel> by_span = batched.LabelBatch(pool);
-      const std::vector<DisclosureLabel> by_ptr = batched.LabelBatch(
-          std::span<const ConjunctiveQuery* const>(ptrs));
-      ASSERT_EQ(by_span.size(), pool.size());
-      ASSERT_EQ(by_ptr.size(), pool.size());
+      std::vector<DisclosureLabel> by_batch(pool.size());
+      batched.LabelInto(ptrs, by_batch.data());
       for (size_t i = 0; i < pool.size(); ++i) {
         const std::string where = " views=" + std::to_string(views) +
                                   " pass " + std::to_string(pass) +
                                   " query " + std::to_string(i);
         ExpectMatchesWideOracle(catalog, oracle, pool[i],
                                 single.Label(pool[i]), "Label" + where);
-        ExpectMatchesWideOracle(catalog, oracle, pool[i], by_span[i],
-                                "LabelBatch" + where);
-        ExpectMatchesWideOracle(catalog, oracle, pool[i], by_ptr[i],
-                                "LabelBatch(ptrs)" + where);
+        ExpectMatchesWideOracle(catalog, oracle, pool[i], by_batch[i],
+                                "LabelInto" + where);
       }
     }
     for (const engine::ConcurrentLabeler* labeler : {&single, &batched}) {
