@@ -15,7 +15,7 @@ namespace {
 void BM_LabelWithFold(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto pool = MakeQueryPool(subqueries, 1024, 0xab1a'0001);
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelPacked(pool[i]));
@@ -29,10 +29,10 @@ void BM_LabelWithoutFold(benchmark::State& state) {
   const auto pool = MakeQueryPool(subqueries, 1024, 0xab1a'0001);
   label::DissectOptions options;
   options.fold = false;
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get(), options);
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get(), options);
 
   // Precision accounting happens before the timed loop.
-  label::LabelerPipeline folded(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline folded(FacebookEnv::Get().catalog.get());
   int64_t wider = 0;
   for (const auto& q : pool) {
     label::DisclosureLabel with = folded.LabelPacked(q);

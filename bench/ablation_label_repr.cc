@@ -21,7 +21,7 @@ const std::vector<cq::ConjunctiveQuery>& Pool() {
 }
 
 void BM_BuildSet(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelHashed(Pool()[i]));
@@ -31,7 +31,7 @@ void BM_BuildSet(benchmark::State& state) {
 }
 
 void BM_BuildWide(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelWide(Pool()[i]));
@@ -41,7 +41,7 @@ void BM_BuildWide(benchmark::State& state) {
 }
 
 void BM_BuildPacked(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelPacked(Pool()[i]));
@@ -51,7 +51,7 @@ void BM_BuildPacked(benchmark::State& state) {
 }
 
 void BM_CompareSet(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   std::vector<label::SetLabel> labels;
   for (const auto& q : Pool()) labels.push_back(pipeline.LabelHashed(q));
   size_t i = 0;
@@ -64,7 +64,7 @@ void BM_CompareSet(benchmark::State& state) {
 }
 
 void BM_CompareWide(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   std::vector<label::WideLabel> labels;
   for (const auto& q : Pool()) labels.push_back(pipeline.LabelWide(q));
   size_t i = 0;
@@ -77,7 +77,7 @@ void BM_CompareWide(benchmark::State& state) {
 }
 
 void BM_ComparePacked(benchmark::State& state) {
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   std::vector<label::DisclosureLabel> labels;
   for (const auto& q : Pool()) labels.push_back(pipeline.LabelPacked(q));
   size_t i = 0;

@@ -23,7 +23,7 @@ constexpr uint32_t kPrincipals = 10'000;
 
 const std::vector<workload::LabeledQuery>& Stream() {
   static const auto stream = [] {
-    label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+    label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
     return workload::GenerateLabelStream(pipeline, 1 << 15, kPrincipals,
                                          0xab1a'0004);
   }();

@@ -38,7 +38,7 @@ Env* EnvFor(int num_relations) {
 
 void BM_BaselineByRelations(benchmark::State& state) {
   Env* env = EnvFor(static_cast<int>(state.range(0)));
-  label::LabelerPipeline pipeline(env->synthetic->catalog.get());
+  label::LabelingPipeline pipeline(env->synthetic->catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelBaseline(env->pool[i]));
@@ -49,7 +49,7 @@ void BM_BaselineByRelations(benchmark::State& state) {
 
 void BM_HashedByRelations(benchmark::State& state) {
   Env* env = EnvFor(static_cast<int>(state.range(0)));
-  label::LabelerPipeline pipeline(env->synthetic->catalog.get());
+  label::LabelingPipeline pipeline(env->synthetic->catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelHashed(env->pool[i]));

@@ -52,7 +52,7 @@ void BM_QueryGenerationOnly(benchmark::State& state) {
 void BM_Baseline(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelBaseline(pool[i]));
@@ -64,7 +64,7 @@ void BM_Baseline(benchmark::State& state) {
 void BM_HashingOnly(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelHashed(pool[i]));
@@ -76,7 +76,7 @@ void BM_HashingOnly(benchmark::State& state) {
 void BM_BitvectorsAndHashing(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(pipeline.LabelPacked(pool[i]));

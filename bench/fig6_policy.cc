@@ -26,7 +26,7 @@ constexpr int kStreamSize = 1 << 17;  // labels in the shared stream
 
 const std::vector<workload::LabeledQuery>& Stream() {
   static const std::vector<workload::LabeledQuery> stream = [] {
-    label::LabelerPipeline pipeline(FacebookEnv::Get().catalog.get());
+    label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
     return workload::GenerateLabelStream(pipeline, kStreamSize,
                                          kMaxPrincipals, 0xf16'6eedULL);
   }();

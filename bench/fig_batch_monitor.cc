@@ -2,23 +2,31 @@
 // reference monitor — the inline per-app-request enforcement loop the
 // paper's practicality claim rests on.
 //
-// Two modes over the same repeated-structure workload (a pregenerated §7.2
+// Three series over the same repeated-structure workload (a pregenerated §7.2
 // query pool, cycled, as an app re-issuing its templates):
 //   * per_query_baseline — the seed path: every query is dissected, folded,
-//     and scanned against the view catalog from scratch, then submitted to
-//     the monitor one at a time (LabelingPipeline ablate_interning mode).
-//   * batched — the intern → index → memoize → batch path: queries are
-//     hash-consed, whole-query labels memoized, batches bucketed by
-//     interned id, and the batch's labels submitted in order (LabelBatch +
-//     SubmitBatch).
-// The two memoizing series label the whole pool once before timing starts,
-// so the timed loop measures the warm steady state whatever iteration count
+//     and tested against its relation's views from scratch
+//     (LabelingPipeline::LabelPacked), then submitted to the monitor one at
+//     a time.
+//   * labeler_per_query — the label memo that serves requests
+//     (engine::ConcurrentLabeler over a views-only FrozenCatalog): Label and
+//     Submit per query.
+//   * batched — the same memo, batch-labeled: LabelInto over the batch's
+//     query pointers into a reused buffer, then SubmitBatch.
+// The two memo series label the whole pool once before timing starts, so
+// the timed loop measures the warm steady state whatever iteration count
 // google-benchmark picks; the per-query baseline has no memo to warm.
 // The acceptance target for this layer is ≥ 5× on the batched series;
 // bench/run_benchmarks.sh computes the ratio into BENCH_hotpath.json.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <span>
+#include <vector>
+
 #include "bench_util.h"
+#include "engine/labeler.h"
+#include "engine/snapshot.h"
 #include "policy/reference_monitor.h"
 #include "workload/policy_generator.h"
 
@@ -56,13 +64,24 @@ void ReportRate(benchmark::State& state, int queries_per_iteration) {
       benchmark::Counter::kIsRate);
 }
 
+// The serving label memo over the catalog's views, warmed with one
+// LabelInto over the whole pool; `ptrs` receives the pool's query pointers.
+std::unique_ptr<engine::ConcurrentLabeler> WarmLabeler(
+    const std::vector<cq::ConjunctiveQuery>& pool,
+    std::vector<const cq::ConjunctiveQuery*>* ptrs) {
+  auto labeler = std::make_unique<engine::ConcurrentLabeler>(
+      engine::FrozenCatalog::Build(FacebookEnv::Get().catalog.get()));
+  ptrs->clear();
+  for (const cq::ConjunctiveQuery& q : pool) ptrs->push_back(&q);
+  std::vector<label::DisclosureLabel> labels(pool.size());
+  labeler->LabelInto(*ptrs, labels.data());
+  return labeler;
+}
+
 void BM_PerQueryBaseline(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelingPipeline::Options options;
-  options.ablate_interning = true;
-  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get(), {},
-                                   options);
+  const label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
   policy::ReferenceMonitor monitor(&Policy());
   policy::PrincipalState principal = monitor.InitialState();
   size_t i = 0;
@@ -72,7 +91,7 @@ void BM_PerQueryBaseline(benchmark::State& state) {
     principal = monitor.InitialState();
     for (int j = 0; j < kBatchSize; ++j) {
       benchmark::DoNotOptimize(
-          monitor.Submit(&principal, pipeline.Label(pool[i + j])));
+          monitor.Submit(&principal, pipeline.LabelPacked(pool[i + j])));
     }
     i += kBatchSize;
   }
@@ -82,29 +101,33 @@ void BM_PerQueryBaseline(benchmark::State& state) {
 void BM_Batched(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
-  (void)pipeline.LabelBatch(pool);  // warm the memo outside the timed loop
+  std::vector<const cq::ConjunctiveQuery*> ptrs;
+  const auto labeler = WarmLabeler(pool, &ptrs);
+  std::vector<label::DisclosureLabel> labels(kBatchSize);
   policy::ReferenceMonitor monitor(&Policy());
   policy::PrincipalState principal = monitor.InitialState();
   size_t i = 0;
   for (auto _ : state) {
     if (i + kBatchSize > pool.size()) i = 0;
     principal = monitor.InitialState();
-    std::span<const cq::ConjunctiveQuery> batch(pool.data() + i, kBatchSize);
-    benchmark::DoNotOptimize(
-        monitor.SubmitBatch(&principal, pipeline.LabelBatch(batch)));
+    labeler->LabelInto(
+        std::span<const cq::ConjunctiveQuery* const>(ptrs).subspan(
+            i, kBatchSize),
+        labels.data());
+    benchmark::DoNotOptimize(monitor.SubmitBatch(
+        &principal, std::span<const label::DisclosureLabel>(labels)));
     i += kBatchSize;
   }
   ReportRate(state, kBatchSize);
 }
 
-// Ablation between the two: interning + memoized labels, but per-query
-// monitor submits — isolates how much of the win each layer contributes.
-void BM_InternedPerQuerySubmit(benchmark::State& state) {
+// Ablation between the two: the warm memo, labeled and submitted per query
+// — isolates how much of the win batching contributes.
+void BM_LabelerPerQuery(benchmark::State& state) {
   const int subqueries = static_cast<int>(state.range(0)) / 3;
   const auto& pool = PoolFor(subqueries);
-  label::LabelingPipeline pipeline(FacebookEnv::Get().catalog.get());
-  (void)pipeline.LabelBatch(pool);  // warm the memo outside the timed loop
+  std::vector<const cq::ConjunctiveQuery*> ptrs;
+  const auto labeler = WarmLabeler(pool, &ptrs);
   policy::ReferenceMonitor monitor(&Policy());
   policy::PrincipalState principal = monitor.InitialState();
   size_t i = 0;
@@ -113,7 +136,7 @@ void BM_InternedPerQuerySubmit(benchmark::State& state) {
     principal = monitor.InitialState();
     for (int j = 0; j < kBatchSize; ++j) {
       benchmark::DoNotOptimize(
-          monitor.Submit(&principal, pipeline.Label(pool[i + j])));
+          monitor.Submit(&principal, labeler->Label(pool[i + j])));
     }
     i += kBatchSize;
   }
@@ -126,8 +149,8 @@ void MaxAtomsAxis(benchmark::internal::Benchmark* bench) {
 
 BENCHMARK(BM_PerQueryBaseline)->Apply(MaxAtomsAxis)
     ->Name("BatchMonitor/per_query_baseline/max_atoms");
-BENCHMARK(BM_InternedPerQuerySubmit)->Apply(MaxAtomsAxis)
-    ->Name("BatchMonitor/interned_per_query/max_atoms");
+BENCHMARK(BM_LabelerPerQuery)->Apply(MaxAtomsAxis)
+    ->Name("BatchMonitor/labeler_per_query/max_atoms");
 BENCHMARK(BM_Batched)->Apply(MaxAtomsAxis)
     ->Name("BatchMonitor/batched/max_atoms");
 

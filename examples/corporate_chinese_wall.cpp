@@ -76,7 +76,7 @@ int main() {
   }
   std::printf("\n\n");
 
-  label::LabelerPipeline pipeline(&catalog);
+  label::LabelingPipeline pipeline(&catalog);
   policy::ReferenceMonitor monitor(&*policy);
   const int k = policy->num_partitions();
 

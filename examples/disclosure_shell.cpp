@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   config::DisclosureConfig& c = **config;
-  label::LabelerPipeline pipeline(c.catalog.get());
+  label::LabelingPipeline pipeline(c.catalog.get());
 
   const policy::SecurityPolicy* active = c.policies.front().second.num_partitions()
                                              ? &c.policies.front().second

@@ -36,7 +36,7 @@ int main() {
 
   // ---- Part 2: machine labeling of FQL-style queries -------------------
   std::printf("Machine-computed labels for FQL-style queries:\n");
-  label::LabelerPipeline pipeline(&catalog);
+  label::LabelingPipeline pipeline(&catalog);
   const char* queries[] = {
       "SELECT birthday FROM User WHERE uid = 'me' AND viewer_rel = 'self'",
       "SELECT quotes FROM User WHERE uid = 'me' AND viewer_rel = 'self'",

@@ -59,7 +59,7 @@ int main() {
   (void)catalog.AddViewText("V3", "V3(x, y, z) :- Contacts(x, y, z)");
 
   // ---- Figure 1(c): labeling the example queries ----------------------
-  label::LabelerPipeline pipeline(&catalog);
+  label::LabelingPipeline pipeline(&catalog);
   std::printf("Labeling the queries of Figure 1(c):\n");
   auto q1 = Parse("Q1(x) :- Meetings(x, 'Cathy')", schema);
   PrintLabel("Q1", pipeline.LabelHashed(q1), catalog);

@@ -95,8 +95,7 @@ class ConjunctiveQuery {
 
 /// Structural hash of a query exactly as written: variable ids and atom
 /// order count, the name does not, so equal queries (operator==) hash
-/// equal. The probe key of every exact-form table (QueryInterner's raw
-/// level, the engine's LabelTable).
+/// equal. The probe key of the engine's exact-form LabelTable.
 uint64_t RawHash(const ConjunctiveQuery& query);
 
 }  // namespace fdc::cq

@@ -1,8 +1,8 @@
 #include "engine/disclosure_engine.h"
 
+#include <algorithm>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "artifact/policy_blob.h"
@@ -125,7 +125,7 @@ void DisclosureEngine::ClearShadowPolicy() {
 void DisclosureEngine::ShadowEvaluate(
     SnapshotAccess* access, std::string_view principal,
     std::span<const label::DisclosureLabel* const> labels,
-    const std::vector<bool>& live) {
+    std::vector<bool>::const_iterator live) {
   struct Tally {
     uint64_t agree = 0, stricter = 0, looser = 0;
   };
@@ -175,8 +175,7 @@ void DisclosureEngine::MaybeAutoSweep(uint64_t decisions) {
 uint64_t DisclosureEngine::Decide(
     SnapshotAccess* access, std::string_view principal,
     std::span<const label::DisclosureLabel* const> labels,
-    std::vector<bool>* decided) {
-  decided->resize(labels.size());
+    std::vector<bool>::iterator decided) {
   for (;;) {
     const EngineSnapshot* snap = access->Load();
     const policy::ReferenceMonitor monitor(&snap->policy());
@@ -186,7 +185,7 @@ uint64_t DisclosureEngine::Decide(
           uint64_t ok = 0;
           for (size_t i = 0; i < labels.size(); ++i) {
             const bool d = monitor.Submit(&state, *labels[i]);
-            (*decided)[i] = d;
+            decided[i] = d;
             ok += d ? 1 : 0;
           }
           return ok;
@@ -194,7 +193,7 @@ uint64_t DisclosureEngine::Decide(
     if (!accepted.has_value()) continue;  // lost a race with a policy swap
     accepted_.fetch_add(*accepted, std::memory_order_relaxed);
     refused_.fetch_add(labels.size() - *accepted, std::memory_order_relaxed);
-    if (ShadowEnabled()) ShadowEvaluate(access, principal, labels, *decided);
+    if (ShadowEnabled()) ShadowEvaluate(access, principal, labels, decided);
     return snap->epoch();
   }
 }
@@ -208,16 +207,7 @@ struct RequestScratch {
   std::vector<const cq::ConjunctiveQuery*> queries;
   std::vector<label::DisclosureLabel> labels;
   std::vector<const label::DisclosureLabel*> label_ptrs;
-  std::vector<bool> decided;
-  // SubmitCoalesced's grouping by principal.
-  std::unordered_map<std::string_view, uint32_t> group_of;
-  struct Group {
-    std::string_view principal;
-    std::vector<uint32_t> indices;  // request indices, arrival order
-    std::vector<const label::DisclosureLabel*> labels;
-  };
-  std::vector<Group> groups;
-  size_t groups_used = 0;
+  std::vector<bool> decided{false};  // Submit's one decision
 
   // Labels `queries` (a prefix of the buffers) and points label_ptrs[k] at
   // the label of queries[k]. Labels depend only on the catalog, never on
@@ -240,7 +230,7 @@ bool DisclosureEngine::Submit(std::string_view principal,
   const cq::ConjunctiveQuery* one = &query;
   s.Label(&labeler_, std::span<const cq::ConjunctiveQuery* const>(&one, 1));
   SnapshotAccess access(this);
-  Decide(&access, principal, s.label_ptrs, &s.decided);
+  Decide(&access, principal, s.label_ptrs, s.decided.begin());
   MaybeAutoSweep(1);
   return s.decided[0];
 }
@@ -252,9 +242,9 @@ std::vector<bool> DisclosureEngine::SubmitBatch(
   s.queries.clear();
   for (const cq::ConjunctiveQuery& query : queries) s.queries.push_back(&query);
   s.Label(&labeler_, s.queries);
-  std::vector<bool> decisions;
+  std::vector<bool> decisions(queries.size());
   SnapshotAccess access(this);
-  Decide(&access, principal, s.label_ptrs, &decisions);
+  Decide(&access, principal, s.label_ptrs, decisions.begin());
   MaybeAutoSweep(queries.size());
   return decisions;
 }
@@ -280,34 +270,26 @@ void DisclosureEngine::SubmitCoalesced(
   }
   s.Label(&labeler_, s.queries);
 
-  // Group request indices by principal, preserving arrival order within
-  // each group (the only order monitor decisions depend on).
-  s.group_of.clear();
-  s.groups_used = 0;
-  for (uint32_t i = 0; i < requests.size(); ++i) {
-    auto [it, inserted] = s.group_of.try_emplace(
-        requests[i].principal, static_cast<uint32_t>(s.groups_used));
-    if (inserted) {
-      if (s.groups_used == s.groups.size()) s.groups.emplace_back();
-      RequestScratch::Group& group = s.groups[s.groups_used++];
-      group.principal = requests[i].principal;
-      group.indices.clear();
-      group.labels.clear();
-    }
-    RequestScratch::Group& group = s.groups[it->second];
-    group.indices.push_back(i);
-    group.labels.push_back(s.label_ptrs[i]);
-  }
-
+  // One decision step per maximal run of consecutive requests from one
+  // principal, runs in arrival order: each principal's requests keep their
+  // order, the only order monitor decisions depend on. The server appends
+  // each connection's submits contiguously, so a wake's runs are its
+  // connections unless two of them share a principal.
+  const std::span<const label::DisclosureLabel* const> labels(s.label_ptrs);
   SnapshotAccess access(this);
-  for (size_t g = 0; g < s.groups_used; ++g) {
-    const RequestScratch::Group& group = s.groups[g];
-    const uint64_t epoch =
-        Decide(&access, group.principal, group.labels, &s.decided);
-    for (size_t j = 0; j < group.indices.size(); ++j) {
-      (*decisions)[group.indices[j]] = s.decided[j];
-      if (epochs != nullptr) (*epochs)[group.indices[j]] = epoch;
+  for (size_t b = 0; b < requests.size();) {
+    size_t e = b + 1;
+    while (e < requests.size() &&
+           requests[e].principal == requests[b].principal) {
+      ++e;
     }
+    const uint64_t epoch = Decide(&access, requests[b].principal,
+                                  labels.subspan(b, e - b),
+                                  decisions->begin() + b);
+    if (epochs != nullptr) {
+      std::fill(epochs->begin() + b, epochs->begin() + e, epoch);
+    }
+    b = e;
   }
   MaybeAutoSweep(requests.size());
 }

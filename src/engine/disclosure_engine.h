@@ -25,18 +25,17 @@
 //      epoch::Domain once every in-flight reader has unpinned.
 //
 // Submit, SubmitBatch and SubmitCoalesced label into per-thread buffers
-// and share one private decision step (Decide); a warm Submit allocates
-// nothing.
+// and share one private decision step (Decide); a warm Submit or
+// SubmitCoalesced wake allocates nothing.
 //
 // Oracle: the seed single-threaded composition, LabelingPipeline +
 // ReferenceMonitor, lives on in the tests and in perfbench's decision
 // check, and the engine's decisions are differential-tested against it
 // (tests/engine_equivalence_test.cc, tests/engine_concurrency_test.cc).
-// The engine and LabelingPipeline compute labels through one kernel
-// (label::LabelQueriesBatched), so the engine's labels are checked against
-// the independent per-view oracle, LabelerPipeline::LabelWide
-// (tests/wide_matcher_property_test.cc); bench/fig_engine_scaling.cc
-// sweeps 1→N threads against this facade.
+// LabelingPipeline labels by the paper's per-view test and shares neither
+// the engine's label memo nor its kernel (label::LabelQueriesBatched), so
+// the comparison checks labels and monitor state independently;
+// bench/fig_engine_scaling.cc sweeps 1→N threads against this facade.
 #pragma once
 
 #include <atomic>
@@ -185,12 +184,12 @@ class DisclosureEngine {
   /// Coalesced decisions across principals: everything a server drained
   /// from one event-loop wake goes through a single batched labeling pass
   /// (batch kernel + batch label dedup at the wire path's natural
-  /// batch size), then one decision step per distinct principal group
-  /// (arrival order preserved within each principal). Decision-
+  /// batch size), then one decision step per maximal run of consecutive
+  /// requests from one principal, runs in arrival order. Decision-
   /// identical to calling Submit per request in order: principals' monitor
   /// states are independent, so only the per-principal order matters.
   /// `decisions` is resized to requests.size(); when `epochs` is non-null
-  /// it receives the epoch each request's decision was made under (groups
+  /// it receives the epoch each request's decision was made under (runs
   /// racing UpdatePolicy may land on different epochs, exactly like
   /// sequential Submit calls would).
   void SubmitCoalesced(std::span<const SubmitRequest> requests,
@@ -328,20 +327,20 @@ class DisclosureEngine {
   /// The one decision step behind Submit, SubmitBatch and
   /// SubmitCoalesced: under the snapshot `access` loads, runs
   /// ReferenceMonitor::Submit over `labels` in order inside the
-  /// principal's state, writes decision i into (*decided)[i] (resized to
-  /// labels.size()), reloads and retries when a policy swap made the
+  /// principal's state, writes decision i into decided[i] (the caller
+  /// sizes the storage), reloads and retries when a policy swap made the
   /// snapshot stale, counts accepts and refusals, and replays the labels
   /// against the shadow policy. Returns the epoch the decisions were made
   /// under.
   uint64_t Decide(SnapshotAccess* access, std::string_view principal,
                   std::span<const label::DisclosureLabel* const> labels,
-                  std::vector<bool>* decided);
+                  std::vector<bool>::iterator decided);
   /// Replays one principal's just-decided labels against the shadow
-  /// policy and tallies agreement; `live` holds the live decisions in
-  /// `labels` order.
+  /// policy and tallies agreement; live[i] is the live decision for
+  /// labels[i].
   void ShadowEvaluate(SnapshotAccess* access, std::string_view principal,
                       std::span<const label::DisclosureLabel* const> labels,
-                      const std::vector<bool>& live);
+                      std::vector<bool>::const_iterator live);
   /// Auto-sweep cadence: the thread whose decision count crosses a
   /// multiple of principal_sweep_interval runs one sweep.
   uint64_t sweep_interval_;

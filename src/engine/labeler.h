@@ -1,10 +1,10 @@
 // The engine's shared labeling front end: frozen tier + insert-only overlay.
 //
-// LabelingPipeline memoizes aggressively but is single-threaded by design;
-// duplicating one per serving thread duplicates exactly the state interning
-// exists to share. ConcurrentLabeler is the thread-safe replacement. Label
-// and LabelInto enter one walk over two LabelTables (engine/label_table.h),
-// each mapping exact query forms to a label stored once per structure:
+// The one label memo of the system: labels are pure functions of the query
+// structure, so ConcurrentLabeler stores each structure's label once and
+// every serving thread shares it. Label and LabelInto enter one walk over
+// two LabelTables (engine/label_table.h), each mapping exact query forms to
+// a label stored once per structure:
 //
 //   1. under one epoch::Guard and no lock, each query's raw form probes the
 //      FrozenCatalog's table (views + warmup, immutable) and then the
@@ -29,12 +29,12 @@
 // state is *not* recomputable, which is why the principal map needs its
 // residual store where the labeler can simply fall back.
 //
-// Labels produced here are byte-identical to LabelingPipeline::Label on
-// the same catalog — both compute through the same kernel — and
-// tests/wide_matcher_property_test.cc checks them against the independent
-// per-view oracle (LabelerPipeline::LabelWide) across the packed and wide
-// view-count boundaries. On packed-only catalogs they also coincide with
-// LabelerPipeline::LabelPacked.
+// Labels produced here equal label::LabelingPipeline::Label on the same
+// catalog — the paper's per-view test, which shares neither this memo nor
+// the kernel — and the engine tests and perfbench's decision check compare
+// them, across the packed and wide view-count boundaries
+// (tests/wide_matcher_property_test.cc also against LabelWide). On
+// packed-only catalogs they also coincide with LabelingPipeline::LabelPacked.
 #pragma once
 
 #include <atomic>
@@ -92,8 +92,8 @@ class ConcurrentLabeler {
                              Options options = {});
 
   /// Thread-safe label of one query: the tier walk over a batch of one.
-  /// Agrees with LabelingPipeline::Label (and with
-  /// LabelerPipeline::LabelPacked on packed-only catalogs).
+  /// Agrees with LabelingPipeline::Label (and with LabelPacked on
+  /// packed-only catalogs).
   label::DisclosureLabel Label(const cq::ConjunctiveQuery& query);
 
   /// The walk over a batch: raw probes → canonical probes → write-side

@@ -40,7 +40,7 @@ cq::ConjunctiveQuery MakeAttributeQuery(const cq::Schema& schema,
 
 AuditResult RunFacebookAudit(const label::ViewCatalog& catalog) {
   AuditResult result;
-  label::LabelerPipeline pipeline(&catalog);
+  label::LabelingPipeline pipeline(&catalog);
 
   for (const DocumentedView& doc : DocumentedUserViews()) {
     ++result.total_views;

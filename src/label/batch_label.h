@@ -1,12 +1,12 @@
 // The one labeling kernel: whole-query disclosure labels through the
 // compiled matcher's batch kernel (§5.2 dissection + §6.1 per-atom ℓ+).
 //
-// Every production label — engine::ConcurrentLabeler's tier walk,
-// engine::FrozenCatalog's build-time table, LabelingPipeline's memo misses
-// and saturated-interner fallback — is computed by LabelQueriesBatched,
-// whether the batch holds one query or thousands. The per-view seed kernels
-// (ComputePatternMask, LabelerPipeline::LabelPacked/LabelWide) stay in
-// label/pipeline.h as reference paths and test oracles.
+// Every served label — engine::ConcurrentLabeler's tier walk and
+// engine::FrozenCatalog's build-time table — is computed by
+// LabelQueriesBatched, whether the batch holds one query or thousands. The
+// paper's per-view labelers (label::LabelingPipeline: Label, LabelPacked,
+// LabelWide, in label/pipeline.h) share none of this code and are the
+// oracles it is checked against.
 #pragma once
 
 #include <cstdint>

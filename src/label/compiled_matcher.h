@@ -2,13 +2,13 @@
 //
 // The labeling hot path needs, for every dissected atom pattern v, the full
 // per-relation ℓ+ mask { i : AtomRewritable(v, w_i) } over the catalog's
-// views w_i. The seed kernel answers that with one AtomRewritable call per
-// (pattern, view) pair — a ContainmentCache probe and, on miss, a fresh
-// position-class analysis per view. Because catalog views are single-atom
-// patterns (ViewCatalog enforces this), the whole per-relation test can be
-// *compiled once* at catalog-freeze time into a discrimination net over
-// constant positions/values and class structure, and then evaluated for any
-// incoming pattern in one pass over its positions:
+// views w_i. The paper's labeler answers that with one AtomRewritable call
+// per (pattern, view) pair — a fresh position-class analysis per view
+// (label::LabelingPipeline keeps that loop). Because catalog views are
+// single-atom patterns (ViewCatalog enforces this), the whole per-relation
+// test can be *compiled once* at catalog-freeze time into a discrimination
+// net over constant positions/values and class structure, and then
+// evaluated for any incoming pattern in one pass over its positions:
 //
 //   * per-position view bitmasks (const_at / dist_at / not_const_at) fold
 //     conditions C1/C3/C4 of the rewriting test into AND-masks;
@@ -28,9 +28,10 @@
 // capacity cliff in the compiled kernel. One-word relations (the common
 // case) run a specialized single-word loop with exactly the pre-wide code
 // shape. Whether a relation's ℓ+ rides in packed or wide label atoms is a
-// catalog property exposed as UsesWideMask(relation) (view count >
-// kPackedViewCapacity); for packed relations the label keeps the low 32
-// bits of the full mask, identical to the seed ComputePatternMask guard.
+// catalog property exposed as UsesWideMask(relation), which applies
+// label::UsesWideAtoms to the relation's view count; for packed relations
+// the label keeps the low 32 bits of the full mask, which then holds every
+// view.
 //
 // Batch kernel: MatchMaskBatch evaluates one relation's net over N
 // dissected atoms at once. Each pattern still runs the fused per-atom loop
@@ -62,14 +63,14 @@
 // series: the batch kernel is bit-identical to it by construction and by
 // the randomized differential suite (tests/batch_kernel_property_test.cc).
 //
-// MatchMaskWords is allocation-free, touches no interner and no cache, and
-// is pure/immutable after Compile — any number of threads may evaluate
+// MatchMaskWords is allocation-free, touches no cache, and is
+// pure/immutable after Compile — any number of threads may evaluate
 // concurrently (MatchMaskBatch too, given per-thread scratch). Equivalence
-// with the seed per-view loop is property-tested over the packed range
+// with the per-view loop is property-tested over the packed range
 // (tests/compiled_matcher_test.cc) and across the 31/32/33/63/64/65/128
-// view boundaries (tests/wide_matcher_property_test.cc); the seed loop is
-// kept behind LabelingPipeline's `ablate_compiled_matcher` option as the
-// oracle.
+// view boundaries (tests/wide_matcher_property_test.cc); the per-view loop
+// is LabelingPipeline's, which labels independently of this matcher and is
+// the oracle every served decision is checked against.
 #pragma once
 
 #include <bit>
@@ -143,10 +144,10 @@ class CompiledCatalogMatcher {
   int max_mask_words() const { return max_words_; }
 
   /// True iff `relation` has more views than a packed atom mask can carry,
-  /// so its ℓ+ belongs in WideAtomLabel entries.
+  /// so its ℓ+ belongs in WideAtomLabel entries (label::UsesWideAtoms).
   bool UsesWideMask(int relation) const {
     const RelationNet* net = NetFor(relation);
-    return net != nullptr && net->num_views > kPackedViewCapacity;
+    return net != nullptr && UsesWideAtoms(net->num_views);
   }
 
   /// Full ℓ+ mask of `pattern` over *all* of its relation's views — no
@@ -170,8 +171,9 @@ class CompiledCatalogMatcher {
                       uint64_t* out_masks, BatchScratch* scratch) const;
 
   /// Pointer-batch overload for consumers whose bucketed atoms are not
-  /// contiguous (LabelBatch buckets dissected atoms from many queries by
-  /// relation without copying them). Identical contract otherwise.
+  /// contiguous (LabelQueriesBatched buckets dissected atoms from many
+  /// queries by relation without copying them). Identical contract
+  /// otherwise.
   void MatchMaskBatch(std::span<const cq::AtomPattern* const> patterns,
                       uint64_t* out_masks, BatchScratch* scratch) const;
 

@@ -45,6 +45,11 @@ constexpr int MaskWordsFor(int views) {
   return views > 64 ? (views + 63) / 64 : 1;
 }
 
+/// True iff a relation with `views` security views carries its ℓ+ in
+/// WideAtomLabel entries rather than packed atoms. The single packed-or-wide
+/// rule: the compiled matcher and every per-view labeler emit what it says.
+constexpr bool UsesWideAtoms(int views) { return views > kPackedViewCapacity; }
+
 /// One dissected atom's ℓ+ set: relation id (low 32) + view mask (high 32).
 class PackedAtomLabel {
  public:
@@ -152,8 +157,8 @@ class DisclosureLabel {
 };
 
 /// Wide counterpart of DisclosureLabel: every atom in multi-word form with
-/// no per-relation view cap. This is the seed per-view oracle's output
-/// (LabelerPipeline::LabelWide) and the ablation-A2 representation; the
+/// no per-relation view cap. This is the per-view wide oracle's output
+/// (LabelingPipeline::LabelWide) and the ablation-A2 representation; the
 /// production DisclosureLabel carries wide atoms only where the catalog
 /// needs them.
 class WideLabel {

@@ -5,13 +5,10 @@
 namespace fdc::order {
 
 bool RewritingOrder::LeqPair(int v, int w) const {
-  using Kind = rewriting::ContainmentCache::Kind;
-  if (auto cached = cache_->Lookup(Kind::kUniverseRewritable, v, w)) {
-    return *cached;
-  }
+  if (auto cached = cache_->Lookup(v, w)) return *cached;
   const bool result =
       rewriting::AtomRewritable(universe_->Get(v), universe_->Get(w));
-  cache_->Insert(Kind::kUniverseRewritable, v, w, result);
+  cache_->Insert(v, w, result);
   return result;
 }
 

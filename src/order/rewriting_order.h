@@ -27,8 +27,8 @@ namespace fdc::order {
 class RewritingOrder final : public DisclosureOrder {
  public:
   /// `shared_cache` may be null (a private cache is created) but, when
-  /// given, must only be keyed with this universe's ids under the
-  /// kUniverseRewritable kind — one cache per universe.
+  /// given, must only be keyed with this universe's view ids — one cache
+  /// per universe.
   explicit RewritingOrder(const Universe* universe,
                           rewriting::ContainmentCache* shared_cache = nullptr)
       : universe_(universe), cache_(shared_cache) {

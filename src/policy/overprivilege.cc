@@ -3,52 +3,22 @@
 #include <algorithm>
 #include <set>
 
-#include "label/dissect.h"
 #include "label/pipeline.h"
-#include "rewriting/atom_rewriting.h"
 
 namespace fdc::policy {
 
-namespace {
-
-// ℓ+ of one dissected atom as a set of catalog view ids, routing pairwise
-// rewritability tests through the shared cache when one is provided.
-std::set<int> PlusSet(const label::ViewCatalog& catalog,
-                      const cq::AtomPattern& atom,
-                      cq::QueryInterner* interner,
-                      rewriting::ContainmentCache* cache) {
-  std::set<int> plus;
-  const bool use_cache = interner != nullptr && cache != nullptr;
-  const int pattern_id = use_cache ? interner->InternPattern(atom) : -1;
-  for (int view_id : catalog.ViewsOfRelation(atom.relation)) {
-    const cq::AtomPattern& view_pattern = catalog.view(view_id).pattern;
-    const bool rewritable =
-        use_cache ? cache->RewritableCached(*interner, pattern_id, view_id,
-                                            atom, view_pattern)
-                  : rewriting::AtomRewritable(atom, view_pattern);
-    if (rewritable) plus.insert(view_id);
-  }
-  return plus;
-}
-
-}  // namespace
-
 OverprivilegeReport AnalyzeOverprivilege(
     const label::ViewCatalog& catalog, const std::vector<int>& requested_views,
-    const std::vector<cq::ConjunctiveQuery>& workload,
-    cq::QueryInterner* interner, rewriting::ContainmentCache* cache) {
+    const std::vector<cq::ConjunctiveQuery>& workload) {
   OverprivilegeReport report;
   const std::set<int> requested(requested_views.begin(),
                                 requested_views.end());
+  const label::LabelingPipeline pipeline(&catalog);
 
   // Per atom: requested views able to answer it.
   std::vector<std::vector<int>> atom_options;
   for (const cq::ConjunctiveQuery& query : workload) {
-    label::SetLabel label;
-    for (const cq::AtomPattern& atom : label::Dissect(query)) {
-      label.per_atom.push_back(PlusSet(catalog, atom, interner, cache));
-    }
-    for (const std::set<int>& plus : label.per_atom) {
+    for (const std::set<int>& plus : pipeline.LabelHashed(query).per_atom) {
       std::vector<int> usable;
       for (int v : plus) {
         if (requested.contains(v)) usable.push_back(v);

@@ -5,10 +5,8 @@
 
 #include <vector>
 
-#include "cq/interned.h"
 #include "cq/query.h"
 #include "label/view_catalog.h"
-#include "rewriting/containment_cache.h"
 
 namespace fdc::policy {
 
@@ -28,16 +26,11 @@ struct OverprivilegeReport {
   bool overprivileged() const { return !unused_views.empty(); }
 };
 
-/// Labels `workload` and analyzes it against `requested_views` (catalog
-/// ids). Queries are dissected with folding enabled. When `interner` and
-/// `cache` are given, per-(pattern, view) rewritability decisions are
-/// shared with the labeling pipeline through the same ContainmentCache
-/// (kCatalogRewritable kind — pass the pipeline's own interner/cache pair),
-/// so audits over an already-served workload are nearly free.
+/// Labels `workload` (LabelingPipeline::LabelHashed: folding enabled, one
+/// rewritability test per atom and view of its relation) and analyzes it
+/// against `requested_views` (catalog ids).
 OverprivilegeReport AnalyzeOverprivilege(
     const label::ViewCatalog& catalog, const std::vector<int>& requested_views,
-    const std::vector<cq::ConjunctiveQuery>& workload,
-    cq::QueryInterner* interner = nullptr,
-    rewriting::ContainmentCache* cache = nullptr);
+    const std::vector<cq::ConjunctiveQuery>& workload);
 
 }  // namespace fdc::policy

@@ -5,9 +5,19 @@
 
 namespace fdc::rewriting {
 
-TargetAtomIndex::TargetAtomIndex(
-    const cq::ConjunctiveQuery& target, const std::vector<bool>& allowed,
-    const std::vector<cq::AtomSignature>* signatures, Storage* storage)
+AtomSignature ComputeAtomSignature(const cq::Atom& atom) {
+  AtomSignature sig;
+  sig.relation = atom.relation;
+  sig.arity = atom.arity();
+  for (int p = 0; p < atom.arity() && p < 64; ++p) {
+    if (atom.terms[p].is_const()) sig.const_positions |= (1ULL << p);
+  }
+  return sig;
+}
+
+TargetAtomIndex::TargetAtomIndex(const cq::ConjunctiveQuery& target,
+                                 const std::vector<bool>& allowed,
+                                 Storage* storage)
     : s_(storage != nullptr ? storage : &owned_), target_(&target) {
   int max_relation = -1;
   for (const cq::Atom& atom : target.atoms()) {
@@ -36,14 +46,12 @@ TargetAtomIndex::TargetAtomIndex(
     Entry& entry = s_->entries[static_cast<size_t>(
         s_->cursor[static_cast<size_t>(atom.relation)]++)];
     entry.position = static_cast<int>(i);
-    entry.signature = signatures != nullptr
-                          ? (*signatures)[i]
-                          : cq::ComputeAtomSignature(atom);
+    entry.signature = ComputeAtomSignature(atom);
   }
 }
 
 void TargetAtomIndex::CandidatesFor(const cq::Atom& atom,
-                                    const cq::AtomSignature& sig,
+                                    const AtomSignature& sig,
                                     std::vector<int>* out) const {
   if (atom.relation < 0 ||
       static_cast<size_t>(atom.relation) + 1 >= s_->bucket_begin.size()) {

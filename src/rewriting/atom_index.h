@@ -3,7 +3,7 @@
 // The seed HomSearch::Backtrack tried every target atom as the image of
 // every source atom — O(|from|·|to|) candidate pairs before any pruning.
 // A TargetAtomIndex buckets target atoms by relation id and precomputes
-// their constant signatures (cq::AtomSignature), so candidate generation is
+// their constant signatures (AtomSignature), so candidate generation is
 // one bucket lookup plus a cheap signature filter per bucket entry: wrong
 // relation, wrong arity, and constant-position/value mismatches never reach
 // the backtracking search at all.
@@ -15,18 +15,36 @@
 // one, the index owns its storage.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "cq/interned.h"
 #include "cq/query.h"
 
 namespace fdc::rewriting {
+
+/// Per-atom structural signature, positional and renaming-invariant.
+struct AtomSignature {
+  int relation = -1;
+  int arity = 0;
+  uint64_t const_positions = 0;  // bit p set iff position p holds a constant
+
+  /// True iff an atom with this signature could map onto an atom with
+  /// `target` under a homomorphism (constants map to themselves): same
+  /// relation/arity and every source constant matched by the same target
+  /// constant. Necessary, not sufficient (variable bindings still checked).
+  bool CompatibleWith(const AtomSignature& target) const {
+    return relation == target.relation && arity == target.arity &&
+           (const_positions & ~target.const_positions) == 0;
+  }
+};
+
+AtomSignature ComputeAtomSignature(const cq::Atom& atom);
 
 class TargetAtomIndex {
  public:
   struct Entry {
     int position;  // atom index in the target query
-    cq::AtomSignature signature;
+    AtomSignature signature;
   };
 
   /// Reusable backing buffers; contents are rebuilt by each construction,
@@ -39,12 +57,10 @@ class TargetAtomIndex {
 
   /// Indexes `target`'s atoms. When `allowed` is non-empty, positions with
   /// allowed[i] == false are excluded (folding's dropped-atom restriction).
-  /// `target` must outlive the index. `signatures`, when non-null, supplies
-  /// precomputed per-atom signatures (from an interned query). `storage`,
-  /// when non-null, must outlive the index and is overwritten.
+  /// `target` must outlive the index. `storage`, when non-null, must
+  /// outlive the index and is overwritten.
   TargetAtomIndex(const cq::ConjunctiveQuery& target,
                   const std::vector<bool>& allowed,
-                  const std::vector<cq::AtomSignature>* signatures = nullptr,
                   Storage* storage = nullptr);
 
   /// Appends to `out` the target atom positions source atom `atom` (with
@@ -52,7 +68,7 @@ class TargetAtomIndex {
   /// constant of `atom` matched by the identical constant in the target.
   /// Exact w.r.t. atom-level compatibility; only variable-binding conflicts
   /// remain for the backtracking search.
-  void CandidatesFor(const cq::Atom& atom, const cq::AtomSignature& sig,
+  void CandidatesFor(const cq::Atom& atom, const AtomSignature& sig,
                      std::vector<int>* out) const;
 
  private:

@@ -14,8 +14,7 @@ struct HomScratch;
 /// True iff q1 ⊆ q2 (q1's answers always a subset of q2's). Requires equal
 /// head arity; returns false otherwise (incomparable). `scratch`, when
 /// non-null, hosts the head-alignment seeds and the whole search — a warm
-/// scratch makes the steady-state check allocation-free
-/// (ContainmentCache::Contained passes a thread-local one).
+/// scratch makes the steady-state check allocation-free.
 bool IsContainedIn(const cq::ConjunctiveQuery& q1,
                    const cq::ConjunctiveQuery& q2,
                    HomScratch* scratch = nullptr);

@@ -7,7 +7,6 @@ namespace fdc::rewriting {
 namespace {
 
 using cq::Atom;
-using cq::AtomSignature;
 using cq::ConjunctiveQuery;
 using cq::Term;
 
@@ -36,14 +35,11 @@ class HomSearch {
  public:
   HomSearch(const ConjunctiveQuery& from, const ConjunctiveQuery& to,
             const HomOptions& options, const std::vector<bool>& to_allowed,
-            const std::vector<AtomSignature>* from_signatures,
-            const std::vector<AtomSignature>* to_signatures, HomScratch& s)
+            HomScratch& s)
       : from_(from),
         to_(to),
         options_(options),
         to_allowed_(to_allowed),
-        from_signatures_(from_signatures),
-        to_signatures_(to_signatures),
         s_(s) {
     s_.mapping.assign(static_cast<size_t>(from.MaxVarId() + 1), std::nullopt);
     s_.trail.clear();
@@ -79,14 +75,12 @@ class HomSearch {
       // flattened into candidate_data with one [begin, end) span per atom.
       // An empty list is a proof of non-existence — reject before any
       // backtracking.
-      TargetAtomIndex index(to_, to_allowed_, to_signatures_, &s_.index);
+      TargetAtomIndex index(to_, to_allowed_, &s_.index);
       s_.candidate_data.clear();
       s_.candidate_spans.assign(n, {0, 0});
       for (size_t i = 0; i < n; ++i) {
         const Atom& atom = from_.atoms()[i];
-        const AtomSignature sig = from_signatures_ != nullptr
-                                      ? (*from_signatures_)[i]
-                                      : cq::ComputeAtomSignature(atom);
+        const AtomSignature sig = ComputeAtomSignature(atom);
         const int begin = static_cast<int>(s_.candidate_data.size());
         index.CandidatesFor(atom, sig, &s_.candidate_data);
         const int end = static_cast<int>(s_.candidate_data.size());
@@ -207,8 +201,6 @@ class HomSearch {
   const ConjunctiveQuery& to_;
   const HomOptions& options_;
   const std::vector<bool>& to_allowed_;
-  const std::vector<AtomSignature>* from_signatures_;
-  const std::vector<AtomSignature>* to_signatures_;
   HomScratch& s_;
   uint64_t steps_ = 0;
   bool budget_exhausted_ = false;
@@ -216,14 +208,9 @@ class HomSearch {
 
 bool RunSearch(const cq::ConjunctiveQuery& from, const cq::ConjunctiveQuery& to,
                const HomOptions& options,
-               const std::vector<bool>& to_atom_allowed,
-               const std::vector<AtomSignature>* from_signatures,
-               const std::vector<AtomSignature>* to_signatures,
-               HomScratch& local) {
+               const std::vector<bool>& to_atom_allowed, HomScratch& local) {
   HomScratch& s = options.scratch != nullptr ? *options.scratch : local;
-  return HomSearch(from, to, options, to_atom_allowed, from_signatures,
-                   to_signatures, s)
-      .RunExists();
+  return HomSearch(from, to, options, to_atom_allowed, s).RunExists();
 }
 
 }  // namespace
@@ -232,8 +219,7 @@ std::optional<VarMapping> FindHomomorphism(
     const cq::ConjunctiveQuery& from, const cq::ConjunctiveQuery& to,
     const HomOptions& options, const std::vector<bool>& to_atom_allowed) {
   HomScratch local;
-  if (!RunSearch(from, to, options, to_atom_allowed, nullptr, nullptr,
-                 local)) {
+  if (!RunSearch(from, to, options, to_atom_allowed, local)) {
     return std::nullopt;
   }
   // Copy the witness out of whichever scratch ran the search.
@@ -246,27 +232,7 @@ bool ExistsHomomorphism(const cq::ConjunctiveQuery& from,
                         const HomOptions& options,
                         const std::vector<bool>& to_atom_allowed) {
   HomScratch local;
-  return RunSearch(from, to, options, to_atom_allowed, nullptr, nullptr,
-                   local);
-}
-
-std::optional<VarMapping> FindHomomorphismInterned(
-    const cq::InternedQuery& from, const cq::InternedQuery& to,
-    const HomOptions& options, const std::vector<bool>& to_atom_allowed) {
-  // Digest reject: sound even under a to_atom_allowed restriction, since a
-  // relation absent from the full target is absent from any subset of it.
-  if (options.engine == HomEngine::kIndexed &&
-      !cq::MayHaveHomomorphismInto(from.digest(), to.digest())) {
-    if (options.stats != nullptr) *options.stats = HomStats{};
-    return std::nullopt;
-  }
-  HomScratch local;
-  if (!RunSearch(from.query(), to.query(), options, to_atom_allowed,
-                 &from.atom_signatures(), &to.atom_signatures(), local)) {
-    return std::nullopt;
-  }
-  return options.scratch != nullptr ? options.scratch->mapping
-                                    : local.mapping;
+  return RunSearch(from, to, options, to_atom_allowed, local);
 }
 
 }  // namespace fdc::rewriting

@@ -7,11 +7,9 @@
 // backtracking over atom images — but the production engine (kIndexed)
 // never scans the target linearly: candidate images come from a
 // per-predicate atom index with constant-position filters (atom_index.h),
-// and cheap necessary-condition rejects (relation-set containment via the
-// 64-bit digest Bloom set, per-atom empty candidate lists) run before any
-// backtracking starts. The seed linear-scan engine (kLinear) is kept both
-// as the ablation baseline and as the oracle for the agreement property
-// tests.
+// and an empty candidate list rejects before any backtracking starts. The
+// seed linear-scan engine (kLinear) is kept both as the ablation baseline
+// and as the oracle for the agreement property tests.
 //
 // Every buffer the search touches (mapping, trail, order, candidates, the
 // target index) can live in a caller-owned HomScratch, so steady-state
@@ -24,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "cq/interned.h"
 #include "cq/query.h"
 #include "rewriting/atom_index.h"
 
@@ -39,8 +36,8 @@ using VarMapping = std::vector<std::optional<cq::Term>>;
 /// (flattened into one array + spans), and the target index's backing
 /// buffers all live here, so a warm scratch makes repeated searches
 /// allocation-free (constants small enough for SSO aside). Not
-/// thread-safe: one scratch per thread (ContainmentCache and Fold keep
-/// thread_local ones); a scratch must not be shared by nested searches.
+/// thread-safe: one scratch per thread (Fold keeps a thread_local one); a
+/// scratch must not be shared by nested searches.
 struct HomScratch {
   VarMapping mapping;
   std::vector<int> trail;       // assignment order, for backtrack undo
@@ -57,7 +54,7 @@ struct HomScratch {
 /// validity; the particular witness mapping may differ) when no budget is
 /// set; the agreement is enforced by tests/hom_index_property_test.cc.
 enum class HomEngine {
-  kIndexed,  // predicate-indexed candidates + digest rejects (production)
+  kIndexed,  // predicate-indexed candidates (production)
   kLinear,   // seed linear scan over target atoms (baseline/oracle)
 };
 
@@ -115,13 +112,5 @@ bool ExistsHomomorphism(const cq::ConjunctiveQuery& from,
                         const cq::ConjunctiveQuery& to,
                         const HomOptions& options = {},
                         const std::vector<bool>& to_atom_allowed = {});
-
-/// Interned fast path: same semantics as FindHomomorphism(from.query(),
-/// to.query(), ...) but reuses both queries' precomputed digests and atom
-/// signatures — the digest reject costs two loads and an AND.
-std::optional<VarMapping> FindHomomorphismInterned(
-    const cq::InternedQuery& from, const cq::InternedQuery& to,
-    const HomOptions& options = {},
-    const std::vector<bool>& to_atom_allowed = {});
 
 }  // namespace fdc::rewriting

@@ -5,7 +5,7 @@
 namespace fdc::workload {
 
 std::vector<LabeledQuery> GenerateLabelStream(
-    const label::LabelerPipeline& pipeline, int count, uint32_t num_principals,
+    const label::LabelingPipeline& pipeline, int count, uint32_t num_principals,
     uint64_t seed) {
   GeneratorOptions options;
   options.subqueries = 1;  // realistic 1–3 atom queries

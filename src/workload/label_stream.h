@@ -24,7 +24,7 @@ struct LabeledQuery {
 /// Generates `count` labeled queries over `pipeline`'s catalog, assigning
 /// each to a random principal in [0, num_principals).
 std::vector<LabeledQuery> GenerateLabelStream(
-    const label::LabelerPipeline& pipeline, int count, uint32_t num_principals,
+    const label::LabelingPipeline& pipeline, int count, uint32_t num_principals,
     uint64_t seed);
 
 }  // namespace fdc::workload

@@ -1,10 +1,11 @@
 // Differential suite for the batch-structured mask kernel: MatchMaskBatch
 // must be bit-identical to the per-atom MatchMaskWords oracle — across the
 // packed/word view-count boundaries (31/32/33/63/64/65) and the one-word,
-// two-word and W-word kernels, for odd batch sizes, through both consumers
-// (LabelingPipeline::LabelBatch and engine::ConcurrentLabeler::LabelInto),
-// and with zero heap allocations on the warm kernel path. The same
-// operator-new counter bounds the engine's warm decisions.
+// two-word and W-word kernels, for odd batch sizes, through its consumer
+// engine::ConcurrentLabeler::LabelInto (against the per-view
+// LabelingPipeline::Label), and with zero heap allocations on the warm
+// kernel path. The same operator-new counter bounds the engine's warm
+// decisions.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -241,61 +242,6 @@ TEST(BatchKernelPropertyTest, FallbackRelationsRunThePerViewLoopPerPattern) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(BatchKernelPropertyTest, PipelineBatchMatchesPerQueryLabel) {
-  Rng rng(0xba7c'0004);
-  for (const int views : {5, 33, 65}) {
-    std::vector<int> arities;
-    cq::Schema schema = RandomSchema(&rng, 2, &arities);
-    ViewCatalog catalog(&schema);
-    BoundaryCatalog(&rng, &catalog, arities, views);
-
-    LabelingPipeline batched(&catalog);
-    LabelingPipeline per_query(&catalog);
-
-    // Duplicates included: the batch memo/dedup bookkeeping is on the path.
-    std::vector<ConjunctiveQuery> pool;
-    for (int i = 0; i < 24; ++i) pool.push_back(RandomQuery(&rng, arities));
-    for (int i = 0; i < 8; ++i) pool.push_back(pool[static_cast<size_t>(i)]);
-
-    // One kernel call over every novel structure vs a batch of one per
-    // query: different bucket compositions, identical labels.
-    const std::vector<DisclosureLabel> got = batched.LabelBatch(pool);
-    ASSERT_EQ(got.size(), pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      EXPECT_EQ(got[i], per_query.Label(pool[i]))
-          << "views=" << views << " query " << i;
-    }
-    EXPECT_GT(batched.stats().batch_mask_evals, 0u);
-    EXPECT_EQ(batched.stats().batch_mask_evals,
-              batched.stats().compiled_mask_evals);
-    EXPECT_EQ(per_query.stats().batch_mask_evals,
-              per_query.stats().compiled_mask_evals);
-    // Second identical batch: all memo hits, no new kernel work.
-    const uint64_t evals = batched.stats().batch_mask_evals;
-    const std::vector<DisclosureLabel> again = batched.LabelBatch(pool);
-    for (size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(again[i], got[i]);
-    EXPECT_EQ(batched.stats().batch_mask_evals, evals);
-  }
-}
-
-TEST(BatchKernelPropertyTest, PipelineBatchAgreesUnderInternerSaturation) {
-  Rng rng(0xba7c'0005);
-  std::vector<int> arities;
-  cq::Schema schema = RandomSchema(&rng, 2, &arities);
-  ViewCatalog catalog(&schema);
-  BoundaryCatalog(&rng, &catalog, arities, 40);
-  LabelingOptions options;
-  options.max_interned_queries = 3;  // most of the batch goes stateless
-  LabelingPipeline batched(&catalog, {}, options);
-  LabelingPipeline reference(&catalog);
-  std::vector<ConjunctiveQuery> pool;
-  for (int i = 0; i < 20; ++i) pool.push_back(RandomQuery(&rng, arities));
-  const std::vector<DisclosureLabel> got = batched.LabelBatch(pool);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(got[i], reference.Label(pool[i])) << "query " << i;
-  }
-}
-
 TEST(BatchKernelPropertyTest, ConcurrentLabelerBatchMatchesPipeline) {
   Rng rng(0xba7c'0006);
   for (const int views : {5, 65}) {
@@ -353,8 +299,9 @@ TEST(BatchKernelPropertyTest, WarmBatchKernelIsAllocationFree) {
       CompiledCatalogMatcher::Compile(catalog);
   ASSERT_EQ(matcher.max_mask_words(), 2);
 
-  // Two relation buckets, evaluated alternately — the shape LabelBatch's
-  // bucket loop produces with its hoisted buffer and persistent scratch.
+  // Two relation buckets, evaluated alternately — the shape
+  // LabelQueriesBatched's bucket loop produces with its hoisted buffer and
+  // persistent scratch.
   std::vector<std::vector<AtomPattern>> buckets(2);
   for (int relation = 0; relation < 2; ++relation) {
     for (int i = 0; i < 24; ++i) {
@@ -387,10 +334,9 @@ TEST(BatchKernelPropertyTest, WarmBatchKernelIsAllocationFree) {
 }
 
 // The engine's decisions reuse per-thread buffers. With every label a
-// frozen-table hit and no shadow policy, a warm Submit allocates nothing,
-// and a warm SubmitCoalesced wake over the same 4 principals allocates as
-// much with 64 requests as with 256: only its per-principal grouping
-// allocates, never anything per request.
+// frozen-table hit and no shadow policy, neither a warm Submit nor a warm
+// SubmitCoalesced wake allocates. The wake's requests alternate over 4
+// principals, so every request is its own run of the decision step.
 TEST(BatchKernelPropertyTest, WarmDecisionsAllocateNothingPerRequest) {
   test::FbFixture fb;
   const std::vector<ConjunctiveQuery> pool =
@@ -422,8 +368,8 @@ TEST(BatchKernelPropertyTest, WarmDecisionsAllocateNothingPerRequest) {
             requests.data(), 64),
         &decisions, &epochs);
   });
-  EXPECT_EQ(wake_64, wake_256);
-  EXPECT_LE(wake_256, 4u) << "one grouping entry per principal at most";
+  EXPECT_EQ(wake_256, 0u) << "a warm SubmitCoalesced wake must not allocate";
+  EXPECT_EQ(wake_64, 0u) << "a warm SubmitCoalesced wake must not allocate";
 
   // One pass grows the label buffer to the pool's largest label; the next
   // pass is warm.

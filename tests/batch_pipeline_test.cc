@@ -1,13 +1,12 @@
-// The batched labeling/monitor pipeline must be decision-for-decision
-// identical to the seed per-query path: LabelBatch vs LabelPacked on the
-// §7.2 workload, SubmitBatch vs sequential Submit on random label streams,
-// and the widened 64-partition monitor state.
+// The seed labeling/monitor path must be decision-for-decision consistent:
+// Label vs LabelPacked on the §7.2 workload (packed-only, so the two
+// coincide), SubmitBatch vs sequential Submit on random label streams, and
+// the widened 64-partition monitor state.
 #include <gtest/gtest.h>
 
 #include "fb/fb_schema.h"
 #include "fb/fb_views.h"
 #include "label/pipeline.h"
-#include "policy/overprivilege.h"
 #include "policy/reference_monitor.h"
 #include "test_util.h"
 #include "workload/policy_generator.h"
@@ -26,7 +25,7 @@ std::vector<cq::ConjunctiveQuery> Workload(const cq::Schema* schema,
 
 TEST(BatchPipelineTest, LabelAgreesWithLabelPacked) {
   FbFixture fb;
-  LabelerPipeline seed_pipeline(&fb.catalog);
+  LabelingPipeline seed_pipeline(&fb.catalog);
   LabelingPipeline pipeline(&fb.catalog);
   for (int subqueries = 1; subqueries <= 3; ++subqueries) {
     for (const auto& query :
@@ -36,44 +35,6 @@ TEST(BatchPipelineTest, LabelAgreesWithLabelPacked) {
       EXPECT_EQ(got, expected);
     }
   }
-  EXPECT_GT(pipeline.stats().label_misses, 0u);
-}
-
-TEST(BatchPipelineTest, LabelBatchAgreesAndDeduplicates) {
-  FbFixture fb;
-  LabelerPipeline seed_pipeline(&fb.catalog);
-  LabelingPipeline pipeline(&fb.catalog);
-  auto pool = Workload(&fb.schema, 2, 64, 0xf00d);
-  // Repeat the pool so the batch has heavy structural duplication.
-  std::vector<cq::ConjunctiveQuery> batch;
-  for (int rep = 0; rep < 4; ++rep) {
-    batch.insert(batch.end(), pool.begin(), pool.end());
-  }
-  const auto labels = pipeline.LabelBatch(batch);
-  ASSERT_EQ(labels.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(labels[i], seed_pipeline.LabelPacked(batch[i])) << i;
-  }
-  // 4 repetitions of ≤64 structures: far fewer labels computed than queries.
-  EXPECT_LE(pipeline.stats().label_misses, 64u);
-  // Repeats of the batch reuse the persistent memo entirely.
-  const uint64_t misses_before = pipeline.stats().label_misses;
-  const auto again = pipeline.LabelBatch(batch);
-  EXPECT_EQ(pipeline.stats().label_misses, misses_before);
-  for (size_t i = 0; i < batch.size(); ++i) EXPECT_EQ(again[i], labels[i]);
-}
-
-TEST(BatchPipelineTest, AblatedModeBypassesCaches) {
-  FbFixture fb;
-  LabelingOptions options;
-  options.ablate_interning = true;
-  LabelingPipeline pipeline(&fb.catalog, {}, options);
-  LabelerPipeline seed_pipeline(&fb.catalog);
-  for (const auto& query : Workload(&fb.schema, 1, 50, 0xcafe)) {
-    EXPECT_EQ(pipeline.Label(query), seed_pipeline.LabelPacked(query));
-  }
-  EXPECT_EQ(pipeline.stats().label_hits, 0u);
-  EXPECT_EQ(pipeline.stats().label_misses, 0u);
 }
 
 TEST(BatchPipelineTest, SubmitBatchMatchesSequentialSubmit) {
@@ -91,7 +52,9 @@ TEST(BatchPipelineTest, SubmitBatchMatchesSequentialSubmit) {
     const std::vector<cq::ConjunctiveQuery> prefix(queries.begin(),
                                                    queries.begin() + 64);
     queries.insert(queries.end(), prefix.begin(), prefix.end());
-    const auto labels = pipeline.LabelBatch(queries);
+    std::vector<DisclosureLabel> labels;
+    labels.reserve(queries.size());
+    for (const auto& query : queries) labels.push_back(pipeline.Label(query));
 
     policy::PrincipalState sequential = monitor.InitialState();
     std::vector<bool> expected;
@@ -135,55 +98,6 @@ TEST(BatchPipelineTest, MonitorSupportsUpTo64Partitions) {
   // Only the high bit (partition 63) survives — exercising state bits
   // beyond the old 32-bit word.
   EXPECT_EQ(state.consistent, 1ULL << 63);
-}
-
-TEST(BatchPipelineTest, InternerSaturationFallsBackStatelessly) {
-  FbFixture fb;
-  LabelingOptions options;
-  options.max_interned_queries = 4;  // tiny cap to force saturation
-  LabelingPipeline pipeline(&fb.catalog, {}, options);
-  LabelerPipeline seed_pipeline(&fb.catalog);
-  const auto pool = Workload(&fb.schema, 2, 64, 0x5a7a);
-  // Well past the cap: labels must stay correct, interner must stay capped.
-  for (const auto& query : pool) {
-    EXPECT_EQ(pipeline.Label(query), seed_pipeline.LabelPacked(query));
-  }
-  const auto batch_labels = pipeline.LabelBatch(pool);
-  for (size_t i = 0; i < pool.size(); ++i) {
-    EXPECT_EQ(batch_labels[i], seed_pipeline.LabelPacked(pool[i]));
-  }
-  EXPECT_LE(pipeline.interner().num_queries(), 4);
-  // Structures interned before saturation keep hitting their memo.
-  const uint64_t hits_before = pipeline.stats().label_hits;
-  (void)pipeline.Label(pool[0]);
-  EXPECT_GT(pipeline.stats().label_hits, hits_before);
-}
-
-TEST(BatchPipelineTest, OverprivilegeAnalysisSharesPipelineCache) {
-  FbFixture fb;
-  // The compiled matcher never touches the ContainmentCache, so run the
-  // pipeline on the seed kernel — this test is specifically about the
-  // cache-sharing contract between labeling and the overprivilege audit.
-  LabelingOptions options;
-  options.ablate_compiled_matcher = true;
-  LabelingPipeline pipeline(&fb.catalog, {}, options);
-  auto workload = Workload(&fb.schema, 1, 64, 0xdddd);
-  // Warm the shared cache through the pipeline.
-  (void)pipeline.LabelBatch(workload);
-
-  std::vector<int> requested;
-  for (int v = 0; v < fb.catalog.size(); ++v) requested.push_back(v);
-  const auto uncached =
-      policy::AnalyzeOverprivilege(fb.catalog, requested, workload);
-  const uint64_t hits_before = pipeline.cache().stats().hits;
-  const auto cached = policy::AnalyzeOverprivilege(
-      fb.catalog, requested, workload, &pipeline.interner(),
-      &pipeline.cache());
-  EXPECT_EQ(cached.unused_views, uncached.unused_views);
-  EXPECT_EQ(cached.minimal_sufficient, uncached.minimal_sufficient);
-  EXPECT_EQ(cached.unanswerable_atoms, uncached.unanswerable_atoms);
-  // The audit reused pairwise decisions the labeling path had cached.
-  EXPECT_GT(pipeline.cache().stats().hits, hits_before);
 }
 
 }  // namespace

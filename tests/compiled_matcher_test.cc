@@ -2,14 +2,13 @@
 // arena (PR 3's two hot-path kernels):
 //
 //   * the CompiledCatalogMatcher must be mask-for-mask identical to the
-//     seed per-view kernels — the raw AtomRewritable loop and the
-//     cache-backed ComputePatternMask — over randomized schemas, catalogs,
+//     raw per-view AtomRewritable loop over randomized schemas, catalogs,
 //     and patterns (same oracle style as hom_index_property_test.cc), and
-//     LabelingPipeline must produce identical whole-query labels with the
-//     matcher enabled and ablated;
+//     the engine's labeler (through the matcher) must produce the same
+//     whole-query labels as LabelingPipeline::Label (per-view, no matcher);
 //   * the ≥32-views-per-relation OutOfRange guard must yield defined,
-//     agreeing (and strictly-higher-label) masks in every kernel instead of
-//     the seed's undefined shift;
+//     agreeing (and strictly-higher-label) packed masks instead of the
+//     seed's undefined shift;
 //   * a warm HomScratch must make existence-only homomorphism searches and
 //     containment checks genuinely allocation-free (counted via a global
 //     operator new override).
@@ -22,15 +21,15 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cq/interned.h"
 #include "cq/pattern.h"
 #include "cq/schema.h"
+#include "engine/labeler.h"
+#include "engine/snapshot.h"
 #include "label/compiled_matcher.h"
 #include "label/pipeline.h"
 #include "label/view_catalog.h"
 #include "rewriting/atom_rewriting.h"
 #include "rewriting/containment.h"
-#include "rewriting/containment_cache.h"
 #include "rewriting/homomorphism.h"
 
 // ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ void RandomCatalog(Rng* rng, ViewCatalog* catalog,
 }
 
 // The seed-of-seeds: a raw AtomRewritable loop with the packed 32-view
-// guard, against which both kernels are compared.
+// guard, against which the compiled kernel is compared.
 uint32_t OracleMask(const ViewCatalog& catalog, const AtomPattern& pattern) {
   uint32_t mask = 0;
   for (int view_id : catalog.ViewsOfRelation(pattern.relation)) {
@@ -149,8 +148,6 @@ TEST(CompiledMatcherTest, MatchesSeedKernelsOnRandomCatalogs) {
                   2 + static_cast<int>(rng.Below(20)));
     const CompiledCatalogMatcher matcher =
         CompiledCatalogMatcher::Compile(catalog);
-    cq::QueryInterner interner;
-    rewriting::ContainmentCache cache;
     for (int i = 0; i < 40; ++i) {
       const int relation = static_cast<int>(rng.Below(arities.size()));
       const AtomPattern pattern =
@@ -159,12 +156,6 @@ TEST(CompiledMatcherTest, MatchesSeedKernelsOnRandomCatalogs) {
       EXPECT_EQ(PackedMask(matcher, pattern), oracle)
           << "compiled net disagrees with per-view loop, trial " << trial
           << " pattern " << pattern.Key();
-      const int pattern_id = interner.InternPattern(pattern);
-      EXPECT_EQ(ComputePatternMask(catalog, interner, cache, pattern_id,
-                                   pattern)
-                    .mask(),
-                oracle)
-          << "cached seed kernel disagrees, trial " << trial;
     }
   }
 }
@@ -176,12 +167,8 @@ TEST(CompiledMatcherTest, PipelineLabelsIdenticalWithAndWithoutMatcher) {
     cq::Schema schema = RandomSchema(&rng, 3, &arities);
     ViewCatalog catalog(&schema);
     RandomCatalog(&rng, &catalog, arities, 12);
-    LabelingPipeline compiled(&catalog);
-    LabelingOptions ablated_options;
-    ablated_options.ablate_compiled_matcher = true;
-    LabelingPipeline ablated(&catalog, {}, ablated_options);
-    ASSERT_NE(compiled.matcher(), nullptr);
-    ASSERT_EQ(ablated.matcher(), nullptr);
+    engine::ConcurrentLabeler compiled(engine::FrozenCatalog::Build(&catalog));
+    const LabelingPipeline per_view(&catalog);
     for (int i = 0; i < 40; ++i) {
       // Random multi-atom queries (1-3 atoms, shared variables) so folding
       // and dissection run too.
@@ -207,11 +194,10 @@ TEST(CompiledMatcherTest, PipelineLabelsIdenticalWithAndWithoutMatcher) {
         if (used[v] && rng.Chance(0.4)) head.push_back(Term::Var(v));
       }
       const ConjunctiveQuery query("Q", std::move(head), std::move(atoms));
-      EXPECT_EQ(compiled.Label(query), ablated.Label(query))
+      EXPECT_EQ(compiled.Label(query), per_view.Label(query))
           << "trial " << trial << " query " << i;
     }
     EXPECT_GT(compiled.stats().compiled_mask_evals, 0u);
-    EXPECT_EQ(ablated.stats().compiled_mask_evals, 0u);
   }
 }
 
@@ -231,19 +217,13 @@ TEST(CompiledMatcherTest, Beyond32ViewsPerRelationIsDefinedAndStricter) {
   ASSERT_GT(catalog.MaxViewsPerRelation(), 32);
   const CompiledCatalogMatcher matcher =
       CompiledCatalogMatcher::Compile(catalog);
-  cq::QueryInterner interner;
-  rewriting::ContainmentCache cache;
 
   auto masks_for = [&](const std::string& constant) {
     AtomPattern pattern = AtomPattern::FromAtom(
         Atom(0, {Term::Var(0), Term::Const(constant)}), {true});
     const uint32_t compiled = PackedMask(matcher, pattern);
-    const uint32_t seed =
-        ComputePatternMask(catalog, interner, cache,
-                           interner.InternPattern(pattern), pattern)
-            .mask();
-    EXPECT_EQ(compiled, seed) << "kernels disagree for '" << constant << "'";
-    EXPECT_EQ(compiled, OracleMask(catalog, pattern));
+    EXPECT_EQ(compiled, OracleMask(catalog, pattern))
+        << "kernels disagree for '" << constant << "'";
     return compiled;
   };
 

@@ -44,7 +44,7 @@ TEST(ConfigTest, ParsedPolicyEnforces) {
   auto config = ParseConfig(kAliceConfig);
   ASSERT_TRUE(config.ok());
   DisclosureConfig& c = **config;
-  label::LabelerPipeline pipeline(c.catalog.get());
+  label::LabelingPipeline pipeline(c.catalog.get());
   policy::ReferenceMonitor monitor(c.FindPolicy("alice"));
   policy::PrincipalState state = monitor.InitialState();
   EXPECT_TRUE(monitor.Submit(

@@ -583,11 +583,11 @@ TEST(EngineConcurrencyTest, EbrDecisionsMatchSeedPathOracle) {
 // owner's mutex, inserts distinct structures — each under its canonical
 // form plus its raw form — through several slot-array growths. A probe of
 // a structure published before the probe began must hit, and every hit
-// must equal the per-view seed labeler's label (LabelerPipeline::
+// must equal the per-view seed labeler's label (LabelingPipeline::
 // LabelPacked). CI runs this under TSan.
 TEST(EngineConcurrencyTest, LabelTableReadersRaceGrowth) {
   FbFixture fb;
-  const label::LabelerPipeline seed(&fb.catalog);
+  const label::LabelingPipeline seed(&fb.catalog);
   std::vector<cq::ConjunctiveQuery> raw, canonical;
   std::vector<label::DisclosureLabel> expected;
   std::set<std::string> keys;

@@ -35,9 +35,9 @@ using test::RandomWorkload;
 
 // Engine labels agree exactly with the seed labeler on random workloads —
 // through the frozen warmup tier, the dynamic overlay, and the saturated
-// stateless fallback alike. The seed side is the per-view LabelPacked loop,
-// not LabelingPipeline, which computes through the engine's own kernel;
-// the §7.2 catalog is packed-only, so LabelPacked is exact here.
+// stateless fallback alike. The seed side is the per-view LabelPacked loop;
+// the §7.2 catalog is packed-only, so LabelPacked is exact here and equals
+// LabelingPipeline::Label.
 TEST(EngineEquivalenceTest, LabelsMatchSeedPipeline) {
   FbFixture fb;
   const auto pool = RandomWorkload(&fb.schema, 3, 300, 0xfeed'beefULL);
@@ -51,7 +51,7 @@ TEST(EngineEquivalenceTest, LabelsMatchSeedPipeline) {
                           workload::PolicyGenerator(&fb.catalog, {}, 7).Next(),
                           options, warmup);
 
-  const label::LabelerPipeline seed(&fb.catalog);
+  const label::LabelingPipeline seed(&fb.catalog);
   for (const cq::ConjunctiveQuery& query : pool) {
     EXPECT_EQ(engine.Explain(query), seed.LabelPacked(query));
   }
@@ -101,7 +101,7 @@ TEST(EngineEquivalenceTest, EachLabelTierMovesOnlyItsReplayCounter) {
     uint64_t frozen, chunk, locked, novel, stateless, publishes;
     bool operator==(const Moved&) const = default;
   };
-  const label::LabelerPipeline seed(&fb.catalog);
+  const label::LabelingPipeline seed(&fb.catalog);
   auto label_and_diff = [&](const cq::ConjunctiveQuery& query) {
     const ConcurrentLabeler::Stats b = labeler.stats();
     EXPECT_EQ(labeler.Label(query), seed.LabelPacked(query));
@@ -142,8 +142,7 @@ std::vector<bool> SeedDecisions(const label::ViewCatalog& catalog,
                                 const std::vector<cq::ConjunctiveQuery>& queries,
                                 const std::vector<Submission>& submissions,
                                 bool use_pipeline) {
-  const label::LabelerPipeline seed(&catalog);
-  label::LabelingPipeline pipeline(&catalog);
+  const label::LabelingPipeline seed(&catalog);
   const policy::ReferenceMonitor monitor(&policy);
   std::map<std::string, policy::PrincipalState> states;
   std::vector<bool> decisions;
@@ -152,7 +151,7 @@ std::vector<bool> SeedDecisions(const label::ViewCatalog& catalog,
         states.try_emplace(submissions[i].principal, monitor.InitialState())
             .first->second;
     decisions.push_back(monitor.Submit(
-        &state, use_pipeline ? pipeline.Label(queries[i])
+        &state, use_pipeline ? seed.Label(queries[i])
                              : seed.LabelPacked(queries[i])));
   }
   return decisions;
@@ -537,7 +536,7 @@ TEST(EngineEquivalenceTest, WideCatalogEpochSwapMatchesSeedReset) {
 TEST(EngineEquivalenceTest, FrozenViewLabelsMatchDirect) {
   FbFixture fb;
   auto frozen = FrozenCatalog::Build(&fb.catalog);
-  label::LabelerPipeline seed(&fb.catalog);
+  label::LabelingPipeline seed(&fb.catalog);
   for (int v = 0; v < fb.catalog.size(); ++v) {
     EXPECT_EQ(frozen->ViewLabel(v),
               seed.LabelPacked(fb.catalog.view(v).pattern.ToQuery("V")));

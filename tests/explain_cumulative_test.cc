@@ -26,7 +26,7 @@ class ExplainTest : public ::testing::Test {
     ASSERT_TRUE(
         catalog_->AddViewText("contacts_full", "V(x, y, z) :- Contacts(x, y, z)")
             .ok());
-    pipeline_ = std::make_unique<label::LabelerPipeline>(catalog_.get());
+    pipeline_ = std::make_unique<label::LabelingPipeline>(catalog_.get());
     auto policy = SecurityPolicy::Compile(
         *catalog_,
         {{"meetings_side", {catalog_->FindByName("meetings_full")->id}},
@@ -41,7 +41,7 @@ class ExplainTest : public ::testing::Test {
 
   Schema schema_;
   std::unique_ptr<label::ViewCatalog> catalog_;
-  std::unique_ptr<label::LabelerPipeline> pipeline_;
+  std::unique_ptr<label::LabelingPipeline> pipeline_;
   std::unique_ptr<SecurityPolicy> policy_;
 };
 

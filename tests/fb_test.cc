@@ -82,7 +82,7 @@ TEST_F(FbTest, PermissionNamesResolvable) {
 // ---- Attribute-query labeling ----------------------------------------------
 
 TEST_F(FbTest, SelfBirthdayNeedsUserBirthday) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto q = MakeAttributeQuery(schema_, "birthday", kSelf);
   label::SetLabel label = pipeline.LabelHashed(q);
   ASSERT_EQ(label.per_atom.size(), 1u);
@@ -91,7 +91,7 @@ TEST_F(FbTest, SelfBirthdayNeedsUserBirthday) {
 }
 
 TEST_F(FbTest, FriendBirthdayNeedsFriendsBirthday) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto q = MakeAttributeQuery(schema_, "birthday", kFriendRel);
   label::SetLabel label = pipeline.LabelHashed(q);
   ASSERT_EQ(label.per_atom.size(), 1u);
@@ -100,7 +100,7 @@ TEST_F(FbTest, FriendBirthdayNeedsFriendsBirthday) {
 }
 
 TEST_F(FbTest, PublicAttributeNeedsNoGroupPermission) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto q = MakeAttributeQuery(schema_, "name", kOther);
   label::SetLabel label = pipeline.LabelHashed(q);
   ASSERT_EQ(label.per_atom.size(), 1u);
@@ -113,7 +113,7 @@ TEST_F(FbTest, EveryViewIsItsOwnFixpoint) {
   // fixpoints. For every catalog view, labeling its defining query must
   // include the view in its own ℓ+ set, and every other view in the set
   // must be mutually rewritable-from (≡ or above).
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   for (const label::SecurityView& view : catalog_->views()) {
     cq::ConjunctiveQuery def = view.pattern.ToQuery(view.name);
     label::SetLabel label = pipeline.LabelHashed(def);
@@ -128,7 +128,7 @@ TEST_F(FbTest, ViewsWithinRelationMostlyIncomparable) {
   // overlap between self_profile and the group views (disjoint attribute
   // sets, so none), no view should subsume another. A subsumption would be
   // a redundant permission (§2.2's smell).
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   const int user = schema_.Find(kUser)->id;
   for (int a : catalog_->ViewsOfRelation(user)) {
     cq::ConjunctiveQuery def = catalog_->view(a).pattern.ToQuery("V");
@@ -139,7 +139,7 @@ TEST_F(FbTest, ViewsWithinRelationMostlyIncomparable) {
 }
 
 TEST_F(FbTest, FofGroupedAttributeIsTop) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto q = MakeAttributeQuery(schema_, "birthday", kFof);
   EXPECT_TRUE(pipeline.LabelHashed(q).top);
 }
@@ -171,7 +171,7 @@ TEST_F(FbTest, JoinBasedFriendQueryLabels) {
        cq::Atom(user, user_terms)});
   ASSERT_TRUE(q.Validate(schema_).ok());
 
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   label::SetLabel label = pipeline.LabelHashed(q);
   EXPECT_FALSE(label.top);
   ASSERT_EQ(label.per_atom.size(), 2u);

@@ -1,18 +1,19 @@
 // Agreement property suite for the predicate-indexed homomorphism engine:
 // on randomized query pairs, the indexed search (per-predicate candidate
-// buckets, constant filters, digest rejects) must return exactly the same
-// existence answers as the seed linear-scan backtracking engine, and every
-// witness mapping it produces must be a valid homomorphism. Seeds are fixed
-// for reproducibility.
+// buckets, constant filters) must return exactly the same existence
+// answers as the seed linear-scan backtracking engine, and every witness
+// mapping it produces must be a valid homomorphism. Seeds are fixed for
+// reproducibility.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "common/rng.h"
-#include "cq/interned.h"
 #include "cq/schema.h"
+#include "rewriting/atom_index.h"
 #include "rewriting/containment.h"
 #include "rewriting/homomorphism.h"
+#include "test_util.h"
 
 namespace fdc::rewriting {
 namespace {
@@ -151,24 +152,19 @@ TEST(HomIndexPropertyTest, EnginesAgreeOnContainmentSeeds) {
   }
 }
 
-TEST(HomIndexPropertyTest, InternedEntryPointAgreesWithLinear) {
-  Rng rng(0x1dee'0004);
-  cq::QueryInterner interner;
-  for (int trial = 0; trial < 300; ++trial) {
-    const ConjunctiveQuery a = RandomQuery(&rng, 4, 4);
-    const ConjunctiveQuery b = RandomQuery(&rng, 5, 4);
-    const cq::InternedQuery* ia = interner.TryIntern(a, SIZE_MAX);
-    const cq::InternedQuery* ib = interner.TryIntern(b, SIZE_MAX);
-    ASSERT_NE(ia, nullptr);
-    ASSERT_NE(ib, nullptr);
-    HomOptions linear_options;
-    linear_options.engine = HomEngine::kLinear;
-    // Compare on the canonical forms: interning canonicalizes, and
-    // homomorphism existence is invariant under isomorphism.
-    const bool expected =
-        FindHomomorphism(ia->query(), ib->query(), linear_options).has_value();
-    EXPECT_EQ(FindHomomorphismInterned(*ia, *ib).has_value(), expected);
-  }
+TEST(HomIndexPropertyTest, AtomSignatureTracksConstants) {
+  const cq::Schema schema = test::MakePaperSchema();
+  const ConjunctiveQuery q = test::Q("Q(x) :- Contacts(x, 'e', 'vp')", schema);
+  const AtomSignature sig = ComputeAtomSignature(q.atoms().front());
+  EXPECT_EQ(sig.arity, 3);
+  EXPECT_EQ(sig.const_positions, 0b110u);
+
+  const AtomSignature loose = ComputeAtomSignature(
+      test::Q("Q(x) :- Contacts(x, y, z)", schema).atoms().front());
+  // A constant-free atom can map onto anything of the same relation; the
+  // constrained atom cannot map onto the constant-free one.
+  EXPECT_TRUE(loose.CompatibleWith(sig));
+  EXPECT_FALSE(sig.CompatibleWith(loose));
 }
 
 TEST(HomIndexPropertyTest, BudgetExhaustionIsReported) {

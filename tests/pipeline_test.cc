@@ -47,7 +47,7 @@ class Figure1Test : public ::testing::Test {
 
 TEST_F(Figure1Test, LabelOfQ1IsV1) {
   // Q1 selects meetings with Cathy: needs the full Meetings view, not V2.
-  LabelerPipeline pipeline(catalog_.get());
+  LabelingPipeline pipeline(catalog_.get());
   auto q1 = test::Q("Q1(x) :- Meetings(x, 'Cathy')", schema_);
   SetLabel label = pipeline.LabelHashed(q1);
   EXPECT_FALSE(label.top);
@@ -55,7 +55,7 @@ TEST_F(Figure1Test, LabelOfQ1IsV1) {
 }
 
 TEST_F(Figure1Test, LabelOfQ2IsV1AndV3) {
-  LabelerPipeline pipeline(catalog_.get());
+  LabelingPipeline pipeline(catalog_.get());
   auto q2 = test::Q("Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
                     schema_);
   SetLabel label = pipeline.LabelHashed(q2);
@@ -65,26 +65,26 @@ TEST_F(Figure1Test, LabelOfQ2IsV1AndV3) {
 
 TEST_F(Figure1Test, TimeOnlyQueryLabeledV2AndV1) {
   // π_time is answerable from V2 *and* from V1; ℓ+ records both.
-  LabelerPipeline pipeline(catalog_.get());
+  LabelingPipeline pipeline(catalog_.get());
   auto q = test::Q("Q(x) :- Meetings(x, y)", schema_);
   SetLabel label = pipeline.LabelHashed(q);
   EXPECT_EQ(NamesOf(label), (std::vector<std::string>{"V1", "V2"}));
 }
 
 TEST_F(Figure1Test, UncoveredQueryIsTop) {
-  LabelerPipeline pipeline(catalog_.get());
+  LabelingPipeline pipeline(catalog_.get());
   // Select the person column only: V2 can't answer, V1 can — so not top.
   auto by_person = test::Q("Q(y) :- Meetings(x, y)", schema_);
   EXPECT_FALSE(pipeline.LabelHashed(by_person).top);
   // A catalog without V1/V3 makes Contacts queries top.
   ViewCatalog small(&schema_);
   ASSERT_TRUE(small.AddViewText("V2", "V2(x) :- Meetings(x, y)").ok());
-  LabelerPipeline small_pipeline(&small);
+  LabelingPipeline small_pipeline(&small);
   auto q = test::Q("Q(x) :- Contacts(x, y, z)", schema_);
   EXPECT_TRUE(small_pipeline.LabelHashed(q).top);
 }
 
-// ---- The three variants agree on the Facebook workload --------------------
+// ---- The variants agree on the Facebook workload ---------------------------
 
 class PipelineAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -92,7 +92,7 @@ TEST_P(PipelineAgreementTest, AllVariantsComputeTheSameLabel) {
   cq::Schema schema = fb::BuildFacebookSchema();
   ViewCatalog catalog(&schema);
   ASSERT_TRUE(fb::RegisterFacebookViews(&catalog).ok());
-  LabelerPipeline pipeline(&catalog);
+  LabelingPipeline pipeline(&catalog);
 
   workload::GeneratorOptions options;
   options.subqueries = 3;
@@ -104,12 +104,15 @@ TEST_P(PipelineAgreementTest, AllVariantsComputeTheSameLabel) {
     SetLabel hashed = pipeline.LabelHashed(q);
     DisclosureLabel packed = pipeline.LabelPacked(q);
     WideLabel wide = pipeline.LabelWide(q);
+    DisclosureLabel label = pipeline.Label(q);
 
     // Baseline and hashed produce identical id sets.
     EXPECT_EQ(baseline.per_atom, hashed.per_atom);
     EXPECT_EQ(baseline.top, hashed.top);
     EXPECT_EQ(hashed.top, packed.top());
     EXPECT_EQ(packed.top(), wide.top());
+    // The catalog is packed-only, so Label is LabelPacked exactly.
+    EXPECT_EQ(label, packed);
 
     // Packed masks encode exactly the hashed id sets.
     std::multiset<std::pair<uint32_t, uint32_t>> from_sets;
@@ -150,8 +153,8 @@ TEST(PipelineAblationTest, NoFoldLabelsAreSoundButWider) {
 
   DissectOptions no_fold;
   no_fold.fold = false;
-  LabelerPipeline with_fold(&catalog);
-  LabelerPipeline without_fold(&catalog, no_fold);
+  LabelingPipeline with_fold(&catalog);
+  LabelingPipeline without_fold(&catalog, no_fold);
 
   // Redundant-join query: with folding it needs only V1; without folding
   // the Contacts atom also enters the label.

@@ -21,12 +21,12 @@ class PolicyStoreTest : public ::testing::Test {
     schema_ = fb::BuildFacebookSchema();
     catalog_ = std::make_unique<label::ViewCatalog>(&schema_);
     ASSERT_TRUE(fb::RegisterFacebookViews(catalog_.get()).ok());
-    pipeline_ = std::make_unique<label::LabelerPipeline>(catalog_.get());
+    pipeline_ = std::make_unique<label::LabelingPipeline>(catalog_.get());
   }
 
   cq::Schema schema_;
   std::unique_ptr<label::ViewCatalog> catalog_;
-  std::unique_ptr<label::LabelerPipeline> pipeline_;
+  std::unique_ptr<label::LabelingPipeline> pipeline_;
 };
 
 TEST_F(PolicyStoreTest, MatchesPerPrincipalMonitors) {

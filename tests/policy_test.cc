@@ -17,7 +17,7 @@ namespace {
 
 using cq::Schema;
 using label::DisclosureLabel;
-using label::LabelerPipeline;
+using label::LabelingPipeline;
 using label::PackedAtomLabel;
 using label::ViewCatalog;
 
@@ -38,7 +38,7 @@ class Example62Test : public ::testing::Test {
     add("V3", "V3(x, y, z) :- Contacts(x, y, z)");
     add("V6", "V6(x, y) :- Contacts(x, y, z)");
     add("V7", "V7(x, z) :- Contacts(x, y, z)");
-    pipeline_ = std::make_unique<LabelerPipeline>(catalog_.get());
+    pipeline_ = std::make_unique<LabelingPipeline>(catalog_.get());
 
     // Policy {W1, W2}: W1 = {V1} (Meetings), W2 = {V3} (Contacts).
     auto policy = SecurityPolicy::Compile(
@@ -54,7 +54,7 @@ class Example62Test : public ::testing::Test {
 
   Schema schema_;
   std::unique_ptr<ViewCatalog> catalog_;
-  std::unique_ptr<LabelerPipeline> pipeline_;
+  std::unique_ptr<LabelingPipeline> pipeline_;
   std::unique_ptr<SecurityPolicy> policy_;
   std::map<std::string, int> ids_;
 };

@@ -89,7 +89,7 @@ TEST_F(WorkloadTest, AudienceWeightsRespected) {
 }
 
 TEST_F(WorkloadTest, MostRealisticQueriesAreLabelable) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   GeneratorOptions options;
   QueryGenerator generator(&schema_, options, 11);
   int labelable = 0;
@@ -134,7 +134,7 @@ TEST_F(WorkloadTest, StatelessPolicyOptionYieldsOnePartition) {
 }
 
 TEST_F(WorkloadTest, LabelStreamShape) {
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto stream = GenerateLabelStream(pipeline, 500, 10, 77);
   ASSERT_EQ(stream.size(), 500u);
   std::vector<int> per_principal(10, 0);
@@ -150,7 +150,7 @@ TEST_F(WorkloadTest, LabelStreamShape) {
 TEST_F(WorkloadTest, EndToEndMonitorRunOnGeneratedWorkload) {
   // Glue test: stream labels through per-principal monitors; accepted
   // fraction must be neither 0 nor 1 for a meaningful benchmark.
-  label::LabelerPipeline pipeline(catalog_.get());
+  label::LabelingPipeline pipeline(catalog_.get());
   auto stream = GenerateLabelStream(pipeline, 1000, 20, 123);
   PolicyOptions options;
   PolicyGenerator policy_gen(catalog_.get(), options, 9);
